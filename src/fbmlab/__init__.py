@@ -10,7 +10,7 @@ from .experiments import (ExperimentConfig, ExperimentReport,
                           scaled_additive_functional, serialize_report)
 from .fbm import (FbmPath, conditional_increment_variance,
                   conditional_mean_path, covariance, mu, sample_paths,
-                  volterra_kernel)
+                  sample_values, volterra_kernel)
 from .gaussian import (GaussianVectorSpec, conditional_variance,
                        fbm_vector_spec, flip_variance_check, lnd_ratio,
                        psd_sqrt)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import ell, regime_of, Regime
 from .errors import CostGuardError
-from .fbm import FbmPath
+from .fbm import CHOLESKY_MAX_N, VALUE_METHODS, FbmPath, sample_values
 from .limits import QuadConfig, QuadResult, a_h, a_one_third
 from .localtime import heat_kernel, heat_kernel_prime, mollified_local_time
 from .testfuncs import TestFunction, from_spec, in_xi, moments
@@ -87,8 +87,18 @@ class ExperimentConfig:
             raise ValueError("scale parameters must be >= 2")
         if self.path_count < 1:
             raise ValueError("path_count must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if self.method not in VALUE_METHODS:
+            raise ValueError(f"experiments run {VALUE_METHODS} synthesis, "
+                             f"not {self.method!r}")
         if not self.t_list or min(self.t_list) <= 0:
             raise ValueError("t_list must contain positive times")
+        if self.method == "cholesky" and self.grid_points > CHOLESKY_MAX_N:
+            raise ValueError(f"cholesky synthesis is limited to "
+                             f"{CHOLESKY_MAX_N} grid points")
         load = self.grid_points * max(self.n_ladder) * max(self.t_list)
         if load > self.cost_guard:
             raise CostGuardError(
@@ -226,18 +236,8 @@ def _simulate_batches(config: ExperimentConfig, worker):
 
 
 def _batch_values(config: ExperimentConfig, start: int, count: int) -> np.ndarray:
-    from .fbm import _circulant_batch, _cholesky_factor, path_rng
-
-    rngs = [path_rng(config.seed, start + i) for i in range(count)]
-    if config.method == "circulant":
-        return _circulant_batch(config.H, config.horizon, config.grid_points,
-                                rngs)
-    if config.method == "cholesky":
-        L = _cholesky_factor(config.H, config.horizon, config.grid_points)
-        z = np.stack([rng.standard_normal(config.grid_points) for rng in rngs])
-        return np.concatenate([np.zeros((count, 1)), z @ L.T], axis=1)
-    raise ValueError(f"experiments support circulant or cholesky synthesis, "
-                     f"not {config.method!r}")
+    return sample_values(config.H, config.horizon, config.grid_points, count,
+                         config.seed, start=start, method=config.method)
 
 
 def _check_regime_functions(config: ExperimentConfig, fs, need_w: float):

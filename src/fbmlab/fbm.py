@@ -5,6 +5,13 @@ covariance (exact, O(N^3), the reference), circulant embedding of the
 increment process (exact, O(N log N), the workhorse), and the moving-average
 construction against a Wiener path (approximate, but the only method that
 exposes the driving increments needed by the conditional-mean process).
+
+``sample_values`` is the one synthesis entry point for value matrices; the
+experiments and ``sample_paths`` both call it.  Its circulant method uses the
+half spectrum of the Hermitian embedding and makes one path at a time: the
+per-path draws are those of the earlier full-spectrum construction, so paths
+agree with the previous release to ~1e-14, and synthesis memory is the output
+plus one O(N) buffer.
 """
 from __future__ import annotations
 
@@ -14,16 +21,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import integrate
 
 from .constants import CRITICAL_TOL, c_h
 
 __all__ = [
     "covariance", "volterra_kernel", "mu", "conditional_increment_variance",
-    "FbmPath", "sample_paths", "conditional_mean_path", "path_rng",
-    "CHOLESKY_MAX_N", "VOLTERRA_MAX_N",
+    "FbmPath", "sample_paths", "sample_values", "conditional_mean_path",
+    "path_rng", "VALUE_METHODS", "CHOLESKY_MAX_N", "VOLTERRA_MAX_N",
 ]
 
+_METHODS = ("circulant", "cholesky", "volterra")
+#: the methods ``sample_values`` serves: those that need no Wiener increments
+VALUE_METHODS = ("circulant", "cholesky")
 CHOLESKY_MAX_N = 4096
 VOLTERRA_MAX_N = 4096
 
@@ -202,34 +213,25 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _fgn_spectrum(H: float, N: int, dt: float) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _half_spectrum(H: float, T: float, N: int) -> np.ndarray:
+    """Amplitudes sqrt(lam_k / 2N), k = 0..N, of the circulant embedding of
+    fGn on N steps of T/N, with the 1/sqrt(2) of the complex draws at
+    0 < k < N folded in.  Read-only: every caller shares the cached array."""
+    dt = T / N
     k = np.arange(N + 1, dtype=float)
     gam = 0.5 * dt ** (2 * H) * ((k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H)
                                  - 2 * k ** (2 * H))
     c = np.concatenate([gam, gam[-2:0:-1]])          # length 2N
-    lam = np.fft.fft(c).real
+    lam = np.fft.fft(c).real[:N + 1]
     if lam.min() < -1e-9 * lam.max():
         raise ValueError(
             "circulant embedding is not nonnegative definite at this size; "
             "retry with the embedding doubled (increase N or use cholesky)")
-    return np.sqrt(np.maximum(lam, 0.0) / (2 * N))
-
-
-def _circulant_batch(H, T, N, rngs) -> np.ndarray:
-    dt = T / N
-    scale = _fgn_spectrum(H, N, dt)
-    draws = np.stack([rng.standard_normal(2 * N) for rng in rngs])
-    Z = np.empty((len(rngs), 2 * N), dtype=complex)
-    Z[:, 0] = draws[:, 0]
-    Z[:, N] = draws[:, 1]
-    a = draws[:, 2:N + 1]
-    b = draws[:, N + 1:2 * N]
-    Z[:, 1:N] = (a + 1j * b) / math.sqrt(2.0)
-    Z[:, N + 1:] = np.conj(Z[:, 1:N])[:, ::-1]
-    fgn = np.fft.fft(scale[None, :] * Z, axis=1).real[:, :N]
-    paths = np.concatenate([np.zeros((len(rngs), 1)), np.cumsum(fgn, axis=1)],
-                           axis=1)
-    return paths
+    amp = np.sqrt(np.maximum(lam, 0.0) / (2 * N))
+    amp[1:N] /= math.sqrt(2.0)
+    amp.flags.writeable = False
+    return amp
 
 
 @functools.lru_cache(maxsize=8)
@@ -256,9 +258,7 @@ def _volterra_matrix(H: float, T: float, N: int) -> np.ndarray:
     return K
 
 
-def sample_paths(H: float, T: float, N: int, count: int, seed: int,
-                 method: str = "circulant") -> list[FbmPath]:
-    """Draw `count` independent paths; deterministic in (seed, path index)."""
+def _check_request(H: float, T: float, N: int, count: int, method: str):
     if not (0.0 < H < 1.0):
         raise ValueError(f"Hurst parameter must lie in (0,1), got {H!r}")
     if count < 1:
@@ -267,28 +267,81 @@ def sample_paths(H: float, T: float, N: int, count: int, seed: int,
         raise ValueError("N must be >= 1")
     if T <= 0:
         raise ValueError("T must be positive")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if method == "cholesky" and N > CHOLESKY_MAX_N:
         raise ValueError(f"cholesky synthesis is limited to N <= {CHOLESKY_MAX_N}")
     if method == "volterra" and N > VOLTERRA_MAX_N:
         raise ValueError(f"volterra synthesis is limited to N <= {VOLTERRA_MAX_N}")
 
-    rngs = [path_rng(seed, i) for i in range(count)]
-    increments = None
-    if method == "circulant":
-        values = _circulant_batch(H, T, N, rngs)
-    elif method == "cholesky":
+
+def sample_values(H: float, T: float, N: int, count: int, seed: int,
+                  start: int = 0, method: str = "circulant") -> np.ndarray:
+    """Values of paths ``start .. start+count-1`` on the grid t_k = k*T/N, as
+    a ``(count, N+1)`` matrix whose first column is zero.
+
+    Row i is drawn from the substream ``path_rng(seed, start + i)`` alone,
+    so a path's values do not depend on the batch it is drawn in.  Only the
+    methods in ``VALUE_METHODS`` are served; volterra paths carry their
+    Wiener increments and come from ``sample_paths``.
+
+    The circulant method works one path at a time on half the spectrum of
+    the Hermitian embedding (Davies and Harte 1987; Wood and Chan 1994): the
+    2N standard normal draws fill the N+1 nonnegative frequencies, real
+    parts d[0], d[2..N], d[1] and imaginary parts d[N+1..2N-1] (zero at both
+    ends), and a real-output inverse transform gives the N fGn increments.
+    """
+    _check_request(H, T, N, count, method)
+    if method not in VALUE_METHODS:
+        raise ValueError(f"sample_values serves {VALUE_METHODS}, "
+                         f"not {method!r}; use sample_paths")
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    values = np.empty((count, N + 1))
+    values[:, 0] = 0.0
+    if method == "cholesky":
+        # one product per path: a batched product rounds a row differently
+        # when the batch holds one path
         L = _cholesky_factor(H, T, N)
-        z = np.stack([rng.standard_normal(N) for rng in rngs])
-        values = np.concatenate([np.zeros((count, 1)), z @ L.T], axis=1)
-    elif method == "volterra":
+        for i in range(count):
+            np.matmul(L, path_rng(seed, start + i).standard_normal(N),
+                      out=values[i, 1:])
+        return values
+
+    amp = _half_spectrum(H, T, N)
+    buf = np.zeros(N + 1, dtype=complex)   # imaginary ends stay zero
+    re, im = buf.real, buf.imag
+    for i in range(count):
+        d = path_rng(seed, start + i).standard_normal(2 * N)
+        re[0] = d[0] * amp[0]
+        np.multiply(d[2:N + 1], amp[1:N], out=re[1:N])
+        re[N] = d[1] * amp[N]
+        np.multiply(d[N + 1:], amp[1:N], out=im[1:N])
+        np.cumsum(sp_fft.hfft(buf, 2 * N)[:N], out=values[i, 1:])
+    return values
+
+
+def sample_paths(H: float, T: float, N: int, count: int, seed: int,
+                 method: str = "circulant") -> list[FbmPath]:
+    """Draw `count` independent paths; deterministic in (seed, path index).
+
+    Circulant and cholesky paths are the rows of ``sample_values``.  The
+    circulant draws per path are those of the earlier full-spectrum
+    construction, so its paths agree with that release to ~1e-14 (the
+    transform's rounding differs), and synthesis memory is the returned
+    values plus one O(N) buffer.
+    """
+    increments = None
+    if method != "volterra":
+        values = sample_values(H, T, N, count, seed, method=method)
+    else:
+        _check_request(H, T, N, count, method)
         K = _volterra_matrix(H, T, N)
-        dt = T / N
-        increments = np.stack([rng.standard_normal(N) for rng in rngs])
-        increments *= math.sqrt(dt)
+        increments = np.stack([path_rng(seed, i).standard_normal(N)
+                               for i in range(count)])
+        increments *= math.sqrt(T / N)
         values = increments @ K.T
         values[:, 0] = 0.0
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     return [
         FbmPath(H=H, T=T, N=N, values=values[i], seed=seed, path_index=i,

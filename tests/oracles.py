@@ -229,3 +229,27 @@ def oracle_a_one_third_s_integral(literal_beta3: bool = True,
         return 6.0 * u ** 4 * (b2 * (1.0 + u ** 4) + b3) ** -2.5
 
     return romberg(g, 0.0, 1.0, levels=14, tol=1e-11)
+
+
+def oracle_circulant_paths(H: float, T: float, N: int, count: int,
+                           seed: int) -> np.ndarray:
+    """Full-spectrum circulant embedding (the construction the library used
+    before its half-spectrum kernel): the 2N draws of path i, from the
+    substream keyed by (seed, i), fill the whole Hermitian vector Z, and the
+    fGn is the real part of its complex FFT against sqrt(lam / 2N)."""
+    dt = T / N
+    k = np.arange(N + 1, dtype=float)
+    gam = 0.5 * dt ** (2 * H) * ((k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H)
+                                 - 2 * k ** (2 * H))
+    lam = np.fft.fft(np.concatenate([gam, gam[-2:0:-1]])).real
+    scale = np.sqrt(np.maximum(lam, 0.0) / (2 * N))
+    draws = np.stack([np.random.default_rng([seed, i]).standard_normal(2 * N)
+                      for i in range(count)])
+    Z = np.empty((count, 2 * N), dtype=complex)
+    Z[:, 0] = draws[:, 0]
+    Z[:, N] = draws[:, 1]
+    Z[:, 1:N] = (draws[:, 2:N + 1] + 1j * draws[:, N + 1:]) / math.sqrt(2.0)
+    Z[:, N + 1:] = np.conj(Z[:, 1:N])[:, ::-1]
+    fgn = np.fft.fft(scale[None, :] * Z, axis=1).real[:, :N]
+    return np.concatenate([np.zeros((count, 1)), np.cumsum(fgn, axis=1)],
+                          axis=1)

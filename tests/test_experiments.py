@@ -57,6 +57,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(path_count=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            small_config(batch_size=batch_size)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            small_config(threads=threads)
+
+    @pytest.mark.parametrize("method", ["volterra", "spectral"])
+    def test_method_rejected(self, method):
+        with pytest.raises(ValueError, match=method):
+            small_config(method=method)
+
+    def test_cholesky_grid_rejected(self):
+        with pytest.raises(ValueError, match="cholesky"):
+            small_config(method="cholesky", grid_per_unit=8192)
+        assert small_config(method="cholesky").method == "cholesky"
+
 
 class TestFunctional:
     def test_zero_function(self):
@@ -172,6 +192,14 @@ class TestCltExperiment:
         agg = r1.aggregates
         assert GD_LABEL in agg["a_hat"]
         assert set(agg["mean_Z"][GD_LABEL]) == {"4", "16"}
+
+    def test_cholesky_bytes_do_not_depend_on_batches(self):
+        # 7 paths in batches of 3 end in a one-path batch
+        r1 = exp.clt_experiment(small_config(method="cholesky", path_count=7,
+                                             batch_size=3))
+        r2 = exp.clt_experiment(small_config(method="cholesky", path_count=7,
+                                             batch_size=7, threads=2))
+        assert exp.serialize_report(r1) == exp.serialize_report(r2)
 
     def test_round_trip(self):
         rep = exp.clt_experiment(small_config())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,54 @@ class TestSampling:
         xb = np.array([p.values[-1] for p in b])
         d = stats.ks_2samp(xa, xb).statistic
         assert d < 1.628 * math.sqrt(2.0 / M)
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("H", [0.05, 0.25, 1.0 / 3.0, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("N", [1, 2, 7, 1024])
+    def test_matches_full_spectrum_oracle(self, H, N):
+        # N=1: the half spectrum holds only its two real ends
+        got = fbm.sample_values(H, 1.0, N, 5, seed=3)
+        want = oracles.oracle_circulant_paths(H, 1.0, N, 5, seed=3)
+        assert got.shape == (5, N + 1)
+        assert np.all(got[:, 0] == 0.0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("method", ["circulant", "cholesky"])
+    def test_rows_do_not_depend_on_the_batch(self, method):
+        whole = np.stack([p.values for p in
+                          fbm.sample_paths(1.0 / 3.0, 1.0, 64, 7, seed=9,
+                                           method=method)])
+        part = fbm.sample_values(1.0 / 3.0, 1.0, 64, 4, seed=9, start=3,
+                                 method=method)
+        one = fbm.sample_values(1.0 / 3.0, 1.0, 64, 1, seed=9, start=3,
+                                method=method)
+        assert part.tobytes() == whole[3:7].tobytes()
+        assert one.tobytes() == whole[3:4].tobytes()
+
+    def test_synthesis_memory_is_the_output(self):
+        # one O(N) buffer set on top of the values, not a (count, 2N)
+        # complex batch; the spectrum is built inside the measured call
+        H, N, count = 1.0 / 3.0, 2 ** 14, 20
+        fbm._half_spectrum.cache_clear()
+        tracemalloc.start()
+        try:
+            fbm.sample_paths(H, 1.0, N, count, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * count * (N + 1) * 8
+
+    def test_spectrum_cache_is_read_only(self):
+        amp = fbm._half_spectrum(0.3, 1.0, 16)
+        with pytest.raises(ValueError):
+            amp[0] = 1.0
+
+    def test_rejects_volterra_and_negative_start(self):
+        with pytest.raises(ValueError):
+            fbm.sample_values(0.5, 1.0, 8, 1, seed=0, method="volterra")
+        with pytest.raises(ValueError):
+            fbm.sample_values(0.5, 1.0, 8, 1, seed=0, start=-1)
 
 
 class TestConditionalMean:
