@@ -7,6 +7,13 @@ characteristic-function distance to the mixed-Gaussian law.
 ``derivative_experiment`` measures the L2 error of the second-order
 expansion against the local-time derivative in the rough regime H < 1/3.
 
+Both experiments and the two single-path functions call one kernel,
+``_functionals``, which evaluates f(n^H (B - lam)) and the mollified local
+time along row chunks of a value matrix, so its temporaries stay small
+whatever the batch.  Each n is compensated at its own bandwidth
+``config.epsilon(n)``: under ``n2h`` it differs per n, and every record of
+``clt_experiment`` equals ``compensated_functional_Z`` of its path.
+
 Monte Carlo bytes are deterministic in (config, seed): every path draws
 from its own substream keyed by (seed, path index) and reductions run in
 path order, so the serialized bytes do not depend on the worker count.
@@ -21,6 +28,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
@@ -29,7 +37,7 @@ from .constants import ell, regime_of, Regime
 from .errors import CostGuardError
 from .fbm import CHOLESKY_MAX_N, VALUE_METHODS, FbmPath, sample_values
 from .limits import QuadConfig, QuadResult, a_h, a_one_third
-from .localtime import heat_kernel, heat_kernel_prime, mollified_local_time
+from .localtime import heat_kernel, heat_kernel_prime
 from .testfuncs import TestFunction, from_spec, in_xi, moments
 
 __all__ = [
@@ -96,6 +104,10 @@ class ExperimentConfig:
                              f"not {self.method!r}")
         if not self.t_list or min(self.t_list) <= 0:
             raise ValueError("t_list must contain positive times")
+        if self.grid_points < 1:
+            raise ValueError("grid_per_unit must give at least one grid step")
+        self.t_indices()                  # raises for a time off the grid
+        self.epsilon(self.n_ladder[-1])   # raises for an unknown eps policy
         if self.method == "cholesky" and self.grid_points > CHOLESKY_MAX_N:
             raise ValueError(f"cholesky synthesis is limited to "
                              f"{CHOLESKY_MAX_N} grid points")
@@ -112,6 +124,11 @@ class ExperimentConfig:
     @property
     def grid_points(self) -> int:
         return int(round(self.grid_per_unit * self.horizon))
+
+    def t_indices(self) -> list[int]:
+        """Grid index of each time in ``t_list``; off-grid times raise."""
+        dt =self.horizon / self.grid_points
+        return [_grid_index(t, dt, self.grid_points) for t in self.t_list]
 
     def epsilon(self, n: int) -> float:
         return _epsilon(self.eps_policy, self.horizon / self.grid_points,
@@ -167,28 +184,68 @@ def _grid_index(t: float, dt: float, n_points: int) -> int:
     return k
 
 
-def _trapz_prefix(y: np.ndarray, dt: float, k: int) -> np.ndarray:
-    """Trapezoid integral of y[..., :k+1] along the last axis."""
-    if k == 0:
-        return np.zeros(y.shape[:-1])
-    seg = y[..., :k + 1]
-    return (seg.sum(axis=-1) - 0.5 * (seg[..., 0] + seg[..., -1])) * dt
+def _trapz_prefixes(y: np.ndarray, dt: float, t_idx) -> np.ndarray:
+    """Trapezoid integrals of y[..., :k+1] along the last axis, one per k."""
+    return np.array([(y[..., :k + 1].sum(axis=-1)
+                      - 0.5 * (y[..., 0] + y[..., k])) * dt for k in t_idx])
 
 
-def scaled_additive_functional(path: FbmPath, f: TestFunction, lam: float,
-                               n: int, t: float) -> float:
-    """Trapezoidal integral of f(n^H (B_s - lam)) up to time t."""
+#: values per row chunk of the functional kernel, the size of its temporaries
+_CHUNK_VALUES = 2 ** 16
+
+
+def _functionals(values: np.ndarray, fs, H: float, lam: float, ns, eps,
+                 t_idx, dt: float, slope: bool = False):
+    """The functional kernel: along each row of the ``(rows, N+1)`` value
+    matrix, the trapezoid prefixes ``F[f, n, t, row]`` of f(n^H (B - lam))
+    and the mollified local time ``L[n, t, row]`` at bandwidth ``eps[n]``;
+    with ``slope`` also ``Lp[n, t, row]``, its lam-derivative (else None).
+    An empty ``eps`` skips the local time.  The heat kernel runs once per
+    distinct bandwidth; rows are walked in chunks of ``_CHUNK_VALUES``."""
+    rows = values.shape[0]
+    F = np.empty((len(fs), len(ns), len(t_idx), rows))
+    L = np.empty((len(eps), len(t_idx), rows))
+    Lp = np.empty_like(L) if slope else None
+    step = max(1, _CHUNK_VALUES // values.shape[1])
+    for r in range(0, rows, step):
+        chunk = slice(r, r + step)
+        x = values[chunk] - lam
+        for e in dict.fromkeys(eps):
+            same = [i for i, v in enumerate(eps) if v == e]
+            L[same, :, chunk] = _trapz_prefixes(heat_kernel(e, x), dt, t_idx)
+            if slope:
+                # d/dlam of p_eps(B - lam) is -p'_eps(B - lam)
+                Lp[same, :, chunk] = _trapz_prefixes(
+                    -heat_kernel_prime(e, x), dt, t_idx)
+        for i_f, fn in enumerate(fs):
+            for i_n, n in enumerate(ns):
+                F[i_f, i_n, :, chunk] = _trapz_prefixes(fn(n ** H * x), dt,
+                                                        t_idx)
+    return F, L, Lp
+
+
+def _path_functional(path: FbmPath, f: TestFunction, lam: float, n: int,
+                     t: float, eps=()) -> tuple[float, Optional[float]]:
+    """One-row call of the kernel: the functional and, at a bandwidth given
+    in ``eps``, the mollified local time at time t."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = _grid_index(t, path.dt, path.N)
-    x = n ** path.H * (path.values - lam)
     step = n ** path.H * float(np.median(np.abs(np.diff(path.values))))
     if step > f.scale_hint:
         warnings.warn(
             f"scaled per-step motion {step:.3g} exceeds the test function "
             f"scale {f.scale_hint:.3g}: functional is undersampled",
             UndersamplingWarning)
-    return float(_trapz_prefix(f(x), path.dt, k))
+    F, L, _ = _functionals(path.values[None], [f], path.H, lam, [n], eps,
+                           [k], path.dt)
+    return float(F[0, 0, 0, 0]), (float(L[0, 0, 0]) if eps else None)
+
+
+def scaled_additive_functional(path: FbmPath, f: TestFunction, lam: float,
+                               n: int, t: float) -> float:
+    """Trapezoidal integral of f(n^H (B_s - lam)) up to time t."""
+    return _path_functional(path, f, lam, n, t)[0]
 
 
 def compensated_functional_Z(path: FbmPath, f: TestFunction, lam: float,
@@ -201,19 +258,15 @@ def compensated_functional_Z(path: FbmPath, f: TestFunction, lam: float,
     smoothed local time at spatial scale n^-H, so the ``n2h`` policy (mollify
     at n^{-2H}) keeps the subtraction bias-free at finite n; it cancels
     pathwise exactly when f is the unit Gaussian bump at the probed level.
+    ``clt_experiment`` records this value exactly, under every policy.
     """
     H = path.H
     if regime_of(H) is Regime.SUBCRITICAL:
         raise ValueError("compensated functional is defined for H >= 1/3")
-    func = scaled_additive_functional(path, f, lam, n, t)
-    m0 = moments(f)[0]
-    comp = 0.0
-    if m0 != 0.0:
-        curve = mollified_local_time(path, lam,
-                                     _epsilon(eps_policy, path.dt, H, n))
-        k = _grid_index(t, path.dt, path.N)
-        comp = n ** (-H) * float(curve.values[k]) * m0
-    return n ** ((H + 1) / 2) * ell(n, H) * (func - comp)
+    func, lt = _path_functional(path, f, lam, n, t,
+                                [_epsilon(eps_policy, path.dt, H, n)])
+    return n ** ((H + 1) / 2) * ell(n, H) * (func - n ** (-H) * lt
+                                              * moments(f)[0])
 
 
 def _simulate_batches(config: ExperimentConfig, worker):
@@ -240,6 +293,43 @@ def _batch_values(config: ExperimentConfig, start: int, count: int) -> np.ndarra
                          config.seed, start=start, method=config.method)
 
 
+def _simulate(config: ExperimentConfig, fs, slope: bool):
+    """The kernel's ``F``, ``L`` and ``Lp`` over all paths, each n with its
+    own bandwidth ``config.epsilon(n)``; the path axis is last."""
+    ns = config.n_ladder
+    F = np.empty((len(fs), len(ns), len(config.t_list), config.path_count))
+    L, Lp = np.empty(F.shape[1:]), (np.empty(F.shape[1:]) if slope else None)
+    eps, t_idx = [config.epsilon(n) for n in ns], config.t_indices()
+
+    def worker(start, values):
+        parts = _functionals(values, fs, config.H, config.lam, ns, eps,
+                             t_idx, config.horizon / config.grid_points, slope)
+        for whole, part in zip((F, L, Lp), parts):
+            if whole is not None:
+                whole[..., start:start + values.shape[0]] = part
+
+    _simulate_batches(config, worker)
+    return F, L, Lp
+
+
+def _along(values, ndim: int) -> np.ndarray:
+    """A per-f or per-n list, shaped to broadcast along axis 0 of ndim."""
+    return np.reshape(values, (-1,) + (1,) * (ndim - 1))
+
+
+def _records(config: ExperimentConfig, fs, **cols) -> tuple:
+    """Per-path records of columns indexed [f, n, t, path] or [n, t, path]."""
+    shape = (len(fs), len(config.n_ladder), len(config.t_list),
+             config.path_count)
+    cols = {k: np.broadcast_to(v, shape).tolist() for k, v in cols.items()}
+    return tuple({"path": i, "f": fn.label, "n": n, "t": t,
+                  **{k: v[i_f][i_n][it][i] for k, v in cols.items()}}
+                 for i_f, fn in enumerate(fs)
+                 for i_n, n in enumerate(config.n_ladder)
+                 for it, t in enumerate(config.t_list)
+                 for i in range(config.path_count))
+
+
 def _check_regime_functions(config: ExperimentConfig, fs, need_w: float):
     for fn in fs:
         if not in_xi(fn, need_w):
@@ -260,6 +350,10 @@ def clt_experiment(config: ExperimentConfig,
                    quad_config: Optional[QuadConfig] = None) -> ExperimentReport:
     """Mixed-Gaussian limit experiment for H >= 1/3.
 
+    Each record's ``Z`` is ``compensated_functional_Z`` of its path: under
+    ``n2h`` the record ``L`` and the ``slope_Z2_on_L``, ``cf_distance`` and
+    ``cross_time`` values use each n's own bandwidth ``config.epsilon(n)``.
+
     For H > 1/3 the limit variance ``a_hat[label]`` comes from ``a_h`` and
     is written at the precision its quadrature error certifies; the error
     itself is reported as ``a_hat_error[label]``, and ``cf_distance`` and
@@ -270,15 +364,8 @@ def clt_experiment(config: ExperimentConfig,
     reg = regime_of(H)
     if reg is Regime.SUBCRITICAL:
         raise ValueError("clt_experiment requires H >= 1/3")
-    if config.path_count < 1:
-        raise ValueError("empty experiment")
     fs = config.functions()
     _check_regime_functions(config, fs, 2.0 if reg is Regime.CRITICAL else 1.0)
-
-    dt = config.horizon / config.grid_points
-    t_idx = [_grid_index(t, dt, config.grid_points) for t in config.t_list]
-    m0s = [moments(fn)[0] for fn in fs]
-    M = config.path_count
 
     # limit-variance estimates used by the characteristic-function distance
     a_hat, a_hat_error = {}, {}
@@ -289,82 +376,43 @@ def clt_experiment(config: ExperimentConfig,
             a_hat[fn.label], a_hat_error[fn.label] = _certified(
                 a_h(fn, fn, H, quad_config))
 
-    nf, nn, nt = len(fs), len(config.n_ladder), len(config.t_list)
-    Z = np.zeros((nf, nn, nt, M))
-    L = np.zeros((nt, M))
+    F, L, _ = _simulate(config, fs, slope=False)
+    ns = config.n_ladder
+    Z = _along([n ** ((H + 1) / 2) * ell(n, H) for n in ns], 3) * (
+        F - _along([n ** (-H) for n in ns], 3) * L
+        * _along([moments(fn)[0] for fn in fs], 4))
 
-    def worker(start, values):
-        count = values.shape[0]
-        sl = slice(start, start + count)
-        eps = config.epsilon(max(config.n_ladder))
-        dens = heat_kernel(eps, values - config.lam)
-        for it, k in enumerate(t_idx):
-            L[it, sl] = _trapz_prefix(dens, dt, k)
-        for i_f, fn in enumerate(fs):
-            for i_n, n in enumerate(config.n_ladder):
-                scaled = fn(n ** H * (values - config.lam))
-                pref = n ** ((H + 1) / 2) * ell(n, H)
-                for it, k in enumerate(t_idx):
-                    func = _trapz_prefix(scaled, dt, k)
-                    comp = n ** (-H) * L[it, sl] * m0s[i_f]
-                    Z[i_f, i_n, it, sl] = pref * (func - comp)
-
-    _simulate_batches(config, worker)
-
-    per_path = []
-    for i_f, fn in enumerate(fs):
-        for i_n, n in enumerate(config.n_ladder):
-            for it, t in enumerate(config.t_list):
-                for i in range(M):
-                    per_path.append({
-                        "path": i, "f": fn.label, "n": n, "t": t,
-                        "Z": float(Z[i_f, i_n, it, i]),
-                        "L": float(L[it, i]),
-                    })
-
-    aggregates: dict = {"a_hat": a_hat, "mean_Z": {}, "slope_Z2_on_L": {},
-                        "cf_distance": {}, "cross_time": {}}
+    names = ("mean_Z", "slope_Z2_on_L", "cf_distance", "cross_time")
+    aggregates: dict = {"a_hat": a_hat} | {
+        name: {fn.label: {} for fn in fs} for name in names}
     if a_hat_error:
         aggregates["a_hat_error"] = a_hat_error
-    for i_f, fn in enumerate(fs):
-        lbl = fn.label
-        A = a_hat[lbl]
-        for agg in ("mean_Z", "slope_Z2_on_L", "cf_distance", "cross_time"):
-            aggregates[agg][lbl] = {}
-        for i_n, n in enumerate(config.n_ladder):
-            key = str(n)
-            mz, sz, cf = {}, {}, {}
-            for it, t in enumerate(config.t_list):
-                z = Z[i_f, i_n, it]
-                lt = L[it]
-                mz[str(t)] = {"mean": float(z.mean()),
-                              "se": float(z.std(ddof=1) / math.sqrt(M))}
-                denom = float((lt * lt).sum())
-                sz[str(t)] = float((z * z * lt).sum() / denom) if denom else 0.0
-                scale = math.sqrt(max(A * lt.mean(), 1e-300))
-                thetas = np.linspace(0.2, 3.0, 16) / scale
-                emp = np.cos(thetas[:, None] * z[None, :]).mean(axis=1)
-                mix = np.exp(-0.5 * thetas[:, None] ** 2 * A
-                             * lt[None, :]).mean(axis=1)
-                cf[str(t)] = float(np.abs(emp - mix).max())
-            aggregates["mean_Z"][lbl][key] = mz
-            aggregates["slope_Z2_on_L"][lbl][key] = sz
-            aggregates["cf_distance"][lbl][key] = cf
-            cross = {}
-            for it1 in range(nt):
-                for it2 in range(it1 + 1, nt):
-                    t1, t2 = config.t_list[it1], config.t_list[it2]
-                    z1, z2 = Z[i_f, i_n, it1], Z[i_f, i_n, it2]
-                    it_min = it1 if t1 <= t2 else it2
-                    cross[f"{t1:g},{t2:g}"] = {
-                        "emp_cov": float(np.mean(z1 * z2)),
-                        "predicted": float(A * L[it_min].mean()),
-                    }
-            if cross:
-                aggregates["cross_time"][lbl][key] = cross
+    for (i_f, fn), (i_n, n) in product(enumerate(fs), enumerate(ns)):
+        A, z_t, l_t = a_hat[fn.label], Z[i_f, i_n], L[i_n]
+        mz, sz, cf = {}, {}, {}
+        for it, t in enumerate(config.t_list):
+            z, lt = z_t[it], l_t[it]
+            mz[str(t)] = {"mean": float(z.mean()), "se": float(
+                z.std(ddof=1) / math.sqrt(config.path_count))}
+            denom = float((lt * lt).sum())
+            sz[str(t)] = float((z * z * lt).sum() / denom) if denom else 0.0
+            scale = math.sqrt(max(A * lt.mean(), 1e-300))
+            thetas = np.linspace(0.2, 3.0, 16) / scale
+            emp = np.cos(thetas[:, None] * z[None, :]).mean(axis=1)
+            mix = np.exp(-0.5 * thetas[:, None] ** 2 * A
+                         * lt[None, :]).mean(axis=1)
+            cf[str(t)] = float(np.abs(emp - mix).max())
+        cross = {f"{t1:g},{t2:g}": {
+            "emp_cov": float(np.mean(z_t[i1] * z_t[i2])),
+            "predicted": float(A * l_t[i1 if t1 <= t2 else i2].mean())}
+            for (i1, t1), (i2, t2)
+            in combinations(enumerate(config.t_list), 2)}
+        for name, value in zip(names, (mz, sz, cf, cross)):
+            if value:
+                aggregates[name][fn.label][str(n)] = value
 
     return ExperimentReport(
-        kind="clt", config=config, per_path=tuple(per_path),
+        kind="clt", config=config, per_path=_records(config, fs, Z=Z, L=L),
         aggregates=aggregates, audit=_audit(config))
 
 
@@ -375,77 +423,36 @@ def derivative_experiment(config: ExperimentConfig) -> ExperimentReport:
     The expansion compensates with the spatial derivative of the level
     curve, d/dlam Lhat_t(lam); per-path records expose it as ``Lp``.  (It is
     the negative of the mollified derivative-kind estimator, which
-    integrates the heat-kernel derivative in the path argument.)
+    integrates the heat-kernel derivative in the path argument.)  Under
+    ``n2h`` the record ``L`` and ``Lp`` use each n's own ``config.epsilon(n)``.
     """
     H = config.H
     if regime_of(H) is not Regime.SUBCRITICAL:
         raise ValueError("derivative_experiment requires H < 1/3")
     fs = config.functions()
     _check_regime_functions(config, fs, 1.0 + 1.0)  # weight 1+nu with nu=1
-
-    dt = config.horizon / config.grid_points
-    t_idx = [_grid_index(t, dt, config.grid_points) for t in config.t_list]
     mom = [moments(fn) for fn in fs]
-    M = config.path_count
-    nf, nn, nt = len(fs), len(config.n_ladder), len(config.t_list)
-    E = np.zeros((nf, nn, nt, M))
-    L = np.zeros((nt, M))
-    Lp = np.zeros((nt, M))
 
-    def worker(start, values):
-        count = values.shape[0]
-        sl = slice(start, start + count)
-        eps = config.epsilon(max(config.n_ladder))
-        x = values - config.lam
-        dens = heat_kernel(eps, x)
-        # d/dlam of p_eps(B - lam) is -p'_eps(B - lam)
-        dens_p = -heat_kernel_prime(eps, x)
-        for it, k in enumerate(t_idx):
-            L[it, sl] = _trapz_prefix(dens, dt, k)
-            Lp[it, sl] = _trapz_prefix(dens_p, dt, k)
-        for i_f, fn in enumerate(fs):
-            m0, m1 = mom[i_f]
-            for i_n, n in enumerate(config.n_ladder):
-                scaled = fn(n ** H * x)
-                for it, k in enumerate(t_idx):
-                    func = _trapz_prefix(scaled, dt, k)
-                    E[i_f, i_n, it, sl] = (n ** H * (n ** H * func
-                                                     - L[it, sl] * m0)
-                                           - Lp[it, sl] * m1)
+    F, L, Lp = _simulate(config, fs, slope=True)
+    nh = _along([n ** H for n in config.n_ladder], 3)
+    m0, m1 = (_along([m[j] for m in mom], 4) for j in (0, 1))
+    E = nh * (nh * F - L * m0) - Lp * m1
 
-    _simulate_batches(config, worker)
-
-    per_path = []
-    for i_f, fn in enumerate(fs):
-        for i_n, n in enumerate(config.n_ladder):
-            for it, t in enumerate(config.t_list):
-                for i in range(M):
-                    per_path.append({
-                        "path": i, "f": fn.label, "n": n, "t": t,
-                        "e": float(E[i_f, i_n, it, i]),
-                        "L": float(L[it, i]), "Lp": float(Lp[it, i]),
-                    })
-
+    xs = np.log(np.asarray(config.n_ladder, dtype=float))
     aggregates: dict = {"l2_error": {}, "loglog_slope": {}, "moments": {}}
     for i_f, fn in enumerate(fs):
-        lbl = fn.label
-        aggregates["moments"][lbl] = {"m0": mom[i_f][0], "m1": mom[i_f][1]}
-        l2 = {}
-        slopes = {}
+        aggregates["moments"][fn.label] = dict(zip(("m0", "m1"), mom[i_f]))
+        l2 = aggregates["l2_error"][fn.label] = {}
+        slopes = aggregates["loglog_slope"][fn.label] = {}
         for it, t in enumerate(config.t_list):
-            per_n = {}
-            for i_n, n in enumerate(config.n_ladder):
-                per_n[str(n)] = float(np.sqrt(np.mean(E[i_f, i_n, it] ** 2)))
-            l2[str(t)] = per_n
-            xs = np.log(np.asarray(config.n_ladder, dtype=float))
-            ys = np.log(np.maximum([per_n[str(n)] for n in config.n_ladder],
-                                   1e-300))
+            errs = np.sqrt(np.mean(E[i_f, :, it] ** 2, axis=-1))
+            l2[str(t)] = dict(zip(map(str, config.n_ladder), errs.tolist()))
+            ys = np.log(np.maximum(errs, 1e-300))
             slopes[str(t)] = float(np.polyfit(xs, ys, 1)[0])
-        aggregates["l2_error"][lbl] = l2
-        aggregates["loglog_slope"][lbl] = slopes
 
     return ExperimentReport(
-        kind="derivative", config=config, per_path=tuple(per_path),
+        kind="derivative", config=config,
+        per_path=_records(config, fs, e=E, L=L, Lp=Lp),
         aggregates=aggregates, audit=_audit(config))
 
 

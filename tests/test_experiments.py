@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,20 @@ class TestConfig:
     def test_method_rejected(self, method):
         with pytest.raises(ValueError, match=method):
             small_config(method=method)
+
+    @pytest.mark.parametrize("policy", ["bogus", "fixed:-1"])
+    def test_eps_policy_rejected(self, policy):
+        with pytest.raises(ValueError):
+            small_config(eps_policy=policy)
+
+    @pytest.mark.parametrize("grid", [0, -8])
+    def test_grid_per_unit_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid_per_unit"):
+            small_config(grid_per_unit=grid)
+
+    def test_off_grid_time_rejected(self):
+        with pytest.raises(ValueError, match="grid"):
+            small_config(t_list=(1.0 / 3.0, 1.0))
 
     def test_cholesky_grid_rejected(self):
         with pytest.raises(ValueError, match="cholesky"):
@@ -254,6 +269,20 @@ class TestCltExperiment:
         with pytest.raises(ValueError):
             exp.clt_experiment(small_config(H=0.25))
 
+    def test_n2h_records_equal_single_path_definition(self):
+        # under n2h every n is compensated at its own bandwidth n^{-2H}
+        cfg = small_config(f=("hat:a=-1,b=1",), n_ladder=(4, 64, 1024),
+                           path_count=3, eps_policy="n2h")
+        rep = exp.clt_experiment(cfg)
+        paths = fbm.sample_paths(cfg.H, 1.0, cfg.grid_points, 3, seed=cfg.seed)
+        f = tf.hat(-1.0, 1.0)
+        assert len(rep.per_path) == 9
+        for rec in rep.per_path:
+            z = exp.compensated_functional_Z(paths[rec["path"]], f, cfg.lam,
+                                             rec["n"], rec["t"],
+                                             eps_policy="n2h")
+            assert abs(rec["Z"] - z) <= 1e-12, rec
+
 
 class TestDerivativeExperiment:
     def test_requires_subcritical(self):
@@ -293,6 +322,45 @@ class TestDerivativeExperiment:
         lbl = "gaussian_bump(sigma=1,center=0.5)"
         l2 = rep.aggregates["l2_error"][lbl]["1.0"]
         assert l2["512"] < l2["128"] < l2["32"]
+
+
+KINDS = [(exp.clt_experiment, dict(H=0.6, f=("gaussian_derivative:sigma=1",))),
+         (exp.derivative_experiment,
+          dict(H=0.25, f=("gaussian_bump:sigma=1,center=0.5",)))]
+KIND_IDS = ["clt", "derivative"]
+
+
+class TestFunctionalKernel:
+    @pytest.mark.parametrize("run, kind", KINDS, ids=KIND_IDS)
+    def test_bytes_do_not_depend_on_row_chunks(self, run, kind):
+        # a chunk holds a few rows of this grid, so 7-path batches split
+        # into several chunks and 1-path batches into one each
+        grid = 2 ** 14
+        assert 1 < exp._CHUNK_VALUES // (grid + 1) < 7
+        base = dict(kind, t_list=(0.5, 1.0), n_ladder=(4, 16), path_count=7,
+                    grid_per_unit=grid, seed=2)
+        r1 = run(exp.ExperimentConfig(**base, threads=1, batch_size=1))
+        r2 = run(exp.ExperimentConfig(**base, threads=2, batch_size=7))
+        assert exp.serialize_report(r1) == exp.serialize_report(r2)
+
+    @pytest.mark.parametrize("run, kind", [
+        (exp.clt_experiment, dict(H=1.0 / 3.0,
+                                  f=("gaussian_derivative:sigma=1",))),
+        KINDS[1]], ids=KIND_IDS)
+    def test_peak_memory_is_a_few_value_matrices(self, run, kind):
+        # evaluation temporaries are row chunks, not copies of the batch
+        cfg = exp.ExperimentConfig(**kind, path_count=20,
+                                   grid_per_unit=2 ** 14, batch_size=20)
+        limits.a_one_third(tf.gaussian_derivative(1.0),
+                           tf.gaussian_derivative(1.0))
+        run(cfg)  # warm the beta3 profile and the spectrum caches
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 20 * (cfg.grid_points + 1) * 8
 
 
 class TestFirstOrderL2Decay:

@@ -159,6 +159,13 @@ class TestCli:
         json.dump(cfg, open(cfg_file, "w"))
         assert cli.main(["clt-experiment", "--config", cfg_file]) == 3
 
+    def test_invalid_grid_exit_code(self, tmp_path):
+        cfg = {"H": 0.6, "t_list": [1.0], "n_ladder": [4, 8],
+               "path_count": 4, "grid_per_unit": 0, "seed": 0}
+        cfg_file = str(tmp_path / "exp.json")
+        json.dump(cfg, open(cfg_file, "w"))
+        assert cli.main(["clt-experiment", "--config", cfg_file]) == 2
+
     def test_missing_input_file(self):
         assert cli.main(["localtime", "--in", "/nonexistent.fbmp",
                          "--lambda", "0", "--out", "/tmp/x.csv"]) == 2
