@@ -83,12 +83,11 @@ def _cmd_localtime(args) -> int:
     paths = pathio.read_paths(args.infile, T=args.T)
     curves = []
     for p in paths:
+        eps = p.dt ** (2 * p.H) if args.eps == "auto" else float(args.eps)
         if args.estimator == "mollified":
-            eps = p.dt ** (2 * p.H) if args.eps == "auto" else float(args.eps)
             curves.append(localtime.mollified_local_time(p, args.lam, eps,
                                                          kind=args.kind))
         else:
-            eps = p.dt ** (2 * p.H) if args.eps == "auto" else float(args.eps)
             xi_max = args.xi_max if args.xi_max else 2.0 / np.sqrt(eps)
             d_xi = args.d_xi if args.d_xi else xi_max / 2048.0
             curves.append(localtime.fourier_local_time(p, args.lam, xi_max,

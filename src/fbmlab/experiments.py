@@ -104,6 +104,12 @@ class ExperimentConfig:
                              f"not {self.method!r}")
         if not self.t_list or min(self.t_list) <= 0:
             raise ValueError("t_list must contain positive times")
+        labels = [fn.label for fn in self.functions()]
+        if not labels:
+            raise ValueError("f must name at least one test function")
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"test function labels must be distinct, got "
+                             f"{labels}")
         if self.grid_points < 1:
             raise ValueError("grid_per_unit must give at least one grid step")
         self.t_indices()                  # raises for a time off the grid

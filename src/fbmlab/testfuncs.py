@@ -8,7 +8,7 @@ weights (membership in the space of f with int |f|(1+|x|^w) dx < inf).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

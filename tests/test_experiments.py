@@ -92,6 +92,15 @@ class TestConfig:
             small_config(method="cholesky", grid_per_unit=8192)
         assert small_config(method="cholesky").method == "cholesky"
 
+    def test_empty_f_rejected(self):
+        with pytest.raises(ValueError, match="at least one test function"):
+            small_config(f=())
+
+    def test_duplicate_label_rejected(self):
+        # both specs build hat(a=-1,b=1): their records could not be told apart
+        with pytest.raises(ValueError, match="distinct"):
+            small_config(f=("hat", "hat:a=-1,b=1"))
+
 
 class TestFunctional:
     def test_zero_function(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,11 +120,6 @@ class TestAH:
         with pytest.raises(ValueError):
             limits.a_h(GD, GD, 0.25)
 
-    def test_literal_sign_flag(self):
-        cfg = limits.QuadConfig(literal_bilinear=True)
-        assert limits.a_h(GD, GD, 0.6, cfg).value == pytest.approx(
-            -limits.a_h(GD, GD, 0.6).value, rel=1e-12)
-
     def test_truncation_diagnostic_grows_near_critical(self):
         # just above the critical point the time-scale integral grows with
         # the truncation radius (the logarithmic blow-up the (log n)^(-1/2)
@@ -165,6 +161,59 @@ class TestAOneThird:
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
             limits.a_one_third(GD, GD, convention="other")
+
+
+class TestKernel:
+    """``covariance_matrix`` and ``a_h`` run one node-chunked kernel."""
+
+    @staticmethod
+    def functions():
+        # poly_bump has no closed-form transform: it takes the spline path
+        return [tf.gaussian_derivative(1.0), tf.poly_bump(), tf.hat()]
+
+    def test_matrix_entries_are_a_h(self):
+        fs = self.functions()
+        lm = limits.covariance_matrix(fs, 0.6)
+        for i in range(3):
+            for j in range(3):
+                res = limits.a_h(fs[i], fs[j], 0.6)
+                assert lm.quadrature_report[i, j] == res.error
+                # the PSD clamp round-trips the matrix through eigh
+                assert abs(lm.matrix[i, j] - res.value) <= 1e-12
+
+    def test_one_fourier_profile_per_function(self, monkeypatch):
+        labels = []
+        fourier = limits.fourier
+
+        def counting(f, eta):
+            labels.append(f.label)
+            return fourier(f, eta)
+
+        monkeypatch.setattr(limits, "fourier", counting)
+        limits.covariance_matrix(self.functions(), 0.6)
+        # fhat(0) for each function, and one sampled grid for the spline
+        assert sorted(labels) == sorted(
+            [fn.label for fn in self.functions()] + [tf.poly_bump().label])
+
+    def test_peak_memory(self):
+        fs = self.functions()
+        tracemalloc.start()
+        try:
+            limits.covariance_matrix(fs, 0.6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+
+    def test_chunking_changes_no_value(self, monkeypatch):
+        # 40^2 and 80^2 nodes leave a partial last chunk
+        cfg = limits.QuadConfig(gl_order=40)
+        chunked = limits.covariance_matrix([GD, tf.hat()], 0.7, cfg)
+        monkeypatch.setattr(limits, "_CHUNK_NODES", 10 ** 6)
+        whole = limits.covariance_matrix([GD, tf.hat()], 0.7, cfg)
+        assert np.array_equal(chunked.matrix, whole.matrix)
+        assert np.array_equal(chunked.quadrature_report,
+                              whole.quadrature_report)
 
 
 class TestCovarianceMatrix:

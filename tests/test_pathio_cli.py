@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ class TestContainer:
         paths = fbm.sample_paths(0.6, 1.0, 8, 2, seed=3)
         fn = str(tmp_path / "p.fbmp")
         pathio.write_paths(fn, paths)
-        raw = open(fn, "rb").read()
+        raw = Path(fn).read_bytes()
         magic, version, H, N, count, seed = struct.unpack("<4sIdIIQ",
                                                           raw[:32])
         assert magic == b"FBMP"
@@ -46,7 +47,7 @@ class TestContainer:
         paths = fbm.sample_paths(0.6, 1.0, 8, 2, seed=3)
         fn = str(tmp_path / "p.fbmp")
         pathio.write_paths(fn, paths)
-        data = open(fn, "rb").read()
+        data = Path(fn).read_bytes()
         with open(fn, "wb") as fh:
             fh.write(data[:-8])
         with pytest.raises(ValueError):
@@ -91,7 +92,7 @@ class TestCli:
         f2 = str(tmp_path / "b.fbmp")
         assert cli.main(args + ["--out", f1]) == 0
         assert cli.main(args + ["--out", f2]) == 0
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
     def test_simulate_localtime_pipeline(self, tmp_path):
         pfile = str(tmp_path / "p.fbmp")
@@ -100,7 +101,7 @@ class TestCli:
                          "2", "--seed", "1", "--out", pfile]) == 0
         assert cli.main(["localtime", "--in", pfile, "--lambda", "0",
                          "--eps", "auto", "--out", ltfile]) == 0
-        lines = open(ltfile).read().splitlines()
+        lines = Path(ltfile).read_text().splitlines()
         assert lines[0] == "t,value_0,value_1"
         assert len(lines) == 258
 
@@ -108,7 +109,7 @@ class TestCli:
         out = str(tmp_path / "A.json")
         assert cli.main(["limit-const", "--H", "0.6", "--f",
                          "gaussian_derivative:sigma=1", "--out", out]) == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["matrix"][0][0] == pytest.approx(0.7222, rel=1e-3)
         assert payload["sqrt"][0][0] == pytest.approx(
             payload["matrix"][0][0] ** 0.5, rel=1e-10)
@@ -120,7 +121,7 @@ class TestCli:
             "grid_per_unit": 256, "seed": 0, "batch_size": 2,
         }
         cfg_file = str(tmp_path / "exp.json")
-        json.dump(cfg, open(cfg_file, "w"))
+        Path(cfg_file).write_text(json.dumps(cfg))
         out = str(tmp_path / "rep.json")
         assert cli.main(["clt-experiment", "--config", cfg_file,
                          "--out", out]) == 0
@@ -128,13 +129,13 @@ class TestCli:
         out2 = str(tmp_path / "rep2.json")
         assert cli.main(["clt-experiment", "--config", cfg_file,
                          "--out", out2, "--threads", "3"]) == 0
-        assert open(out, "rb").read() == open(out2, "rb").read()
+        assert Path(out).read_bytes() == Path(out2).read_bytes()
         plots = str(tmp_path / "plots")
         assert cli.main(["report", "--in", out, "--plots", plots]) == 0
         names = sorted(os.listdir(plots))
         assert names == ["cf_distance.csv", "cf_distance.svg",
                          "slope_Z2_on_L.csv", "slope_Z2_on_L.svg"]
-        svg = open(os.path.join(plots, "cf_distance.svg")).read()
+        svg = Path(os.path.join(plots, "cf_distance.svg")).read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
     def test_report_golden_output(self, tmp_path):
@@ -145,8 +146,8 @@ class TestCli:
                          "--plots", plots]) == 0
         for name in ("cf_distance.csv", "cf_distance.svg",
                      "slope_Z2_on_L.csv", "slope_Z2_on_L.svg"):
-            got = open(os.path.join(plots, name), "rb").read()
-            want = open(os.path.join(data_dir, "golden_" + name), "rb").read()
+            got = Path(os.path.join(plots, name)).read_bytes()
+            want = Path(os.path.join(data_dir, "golden_" + name)).read_bytes()
             assert got == want, f"{name} differs from the pinned output"
 
     def test_cost_guard_exit_code(self, tmp_path):
@@ -156,14 +157,14 @@ class TestCli:
             "path_count": 4, "grid_per_unit": 2 ** 16, "seed": 0,
         }
         cfg_file = str(tmp_path / "exp.json")
-        json.dump(cfg, open(cfg_file, "w"))
+        Path(cfg_file).write_text(json.dumps(cfg))
         assert cli.main(["clt-experiment", "--config", cfg_file]) == 3
 
     def test_invalid_grid_exit_code(self, tmp_path):
         cfg = {"H": 0.6, "t_list": [1.0], "n_ladder": [4, 8],
                "path_count": 4, "grid_per_unit": 0, "seed": 0}
         cfg_file = str(tmp_path / "exp.json")
-        json.dump(cfg, open(cfg_file, "w"))
+        Path(cfg_file).write_text(json.dumps(cfg))
         assert cli.main(["clt-experiment", "--config", cfg_file]) == 2
 
     def test_missing_input_file(self):
@@ -177,9 +178,9 @@ class TestCli:
             "grid_per_unit": 256, "seed": 0,
         }
         cfg_file = str(tmp_path / "exp.json")
-        json.dump(cfg, open(cfg_file, "w"))
+        Path(cfg_file).write_text(json.dumps(cfg))
         out = str(tmp_path / "rep.json")
         assert cli.main(["derivative-experiment", "--config", cfg_file,
                          "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["kind"] == "derivative"
