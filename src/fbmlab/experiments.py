@@ -20,16 +20,26 @@ path order, so the serialized bytes do not depend on the worker count.
 Quadrature-derived numbers are written only to the precision their error
 estimate certifies: the supercritical ``a_hat`` is rounded at the decade of
 ``a_hat_error``, so its bytes do not depend on the numerical build either.
+
+A report keeps its per-path data as the kernel's arrays (``PerPath``): the
+statistic (``Z`` or ``e``) indexed ``[f, n, t, path]`` and the local-time
+columns (``L``, ``Lp``) indexed ``[n, t, path]``.  ``serialize_report``
+writes the records straight from these columns, with the bytes
+``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives for a list
+of record dicts: keys sorted, floats as ``float.__repr__`` (non-finite ones
+as json's ``NaN``, ``Infinity``, ``-Infinity``), records in the order
+f, n, t, path.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from itertools import combinations, product
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -41,7 +51,7 @@ from .localtime import heat_kernel, heat_kernel_prime
 from .testfuncs import TestFunction, from_spec, in_xi, moments
 
 __all__ = [
-    "ExperimentConfig", "ExperimentReport", "UndersamplingWarning",
+    "ExperimentConfig", "ExperimentReport", "PerPath", "UndersamplingWarning",
     "scaled_additive_functional", "compensated_functional_Z",
     "clt_experiment", "derivative_experiment",
     "serialize_report", "deserialize_report", "default_output_name",
@@ -89,6 +99,8 @@ class ExperimentConfig:
         object.__setattr__(self, "f", tuple(self.f))
         object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
         object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
+        if not self.n_ladder:
+            raise ValueError("n_ladder must name at least one scale")
         if any(b >= a for a, b in zip(self.n_ladder[1:], self.n_ladder)):
             raise ValueError("n_ladder must be strictly increasing")
         if min(self.n_ladder) < 2:
@@ -104,6 +116,10 @@ class ExperimentConfig:
                              f"not {self.method!r}")
         if not self.t_list or min(self.t_list) <= 0:
             raise ValueError("t_list must contain positive times")
+        if len(set(self.t_list)) < len(self.t_list):
+            # aggregates are keyed by time: a repeated one would overwrite
+            raise ValueError(f"t_list times must be distinct, got "
+                             f"{list(self.t_list)}")
         labels = [fn.label for fn in self.functions()]
         if not labels:
             raise ValueError("f must name at least one test function")
@@ -133,7 +149,7 @@ class ExperimentConfig:
 
     def t_indices(self) -> list[int]:
         """Grid index of each time in ``t_list``; off-grid times raise."""
-        dt =self.horizon / self.grid_points
+        dt = self.horizon / self.grid_points
         return [_grid_index(t, dt, self.grid_points) for t in self.t_list]
 
     def epsilon(self, n: int) -> float:
@@ -163,11 +179,93 @@ class ExperimentConfig:
         return cls(**d)
 
 
+#: per report kind, its value columns; the first is indexed [f, n, t, path],
+#: the others, which do not depend on f, [n, t, path]
+_COLUMNS = {"clt": ("Z", "L"), "derivative": ("e", "L", "Lp")}
+
+
+@dataclass(frozen=True, eq=False)
+class PerPath(Sequence):
+    """Per-path records held as columns.
+
+    ``columns`` maps each value key to an array indexed ``[f, n, t, path]``
+    or, for a value that does not depend on f, ``[n, t, path]``; the f, n
+    and t axes are ``labels``, ``n_ladder`` and ``t_list``.  As a sequence
+    it is the records in the order f, n, t, path, each a dict with the keys
+    ``path``, ``f`` (the label), ``n``, ``t`` and one per column."""
+
+    labels: tuple[str, ...]
+    n_ladder: tuple[int, ...]
+    t_list: tuple[float, ...]
+    columns: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        shape = (len(self.labels), len(self.n_ladder), len(self.t_list))
+        paths = {a.shape[-1] for a in self.columns.values()}
+        if len(paths) != 1 or any(a.shape[:-1] not in (shape, shape[1:])
+                                  for a in self.columns.values()):
+            raise ValueError(f"columns must be shaped {shape} or {shape[1:]} "
+                             f"plus one common path axis")
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        """(functions, scales, times, paths)"""
+        return (len(self.labels), len(self.n_ladder), len(self.t_list),
+                next(iter(self.columns.values())).shape[-1])
+
+    def block(self, key: str, i_f: int, i_n: int, i_t: int) -> np.ndarray:
+        """Column ``key`` over the paths at one (f, n, t)."""
+        col = self.columns[key]
+        return col[i_f, i_n, i_t] if col.ndim == 4 else col[i_n, i_t]
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def __getitem__(self, i: int) -> dict:
+        if not -len(self) <= i < len(self):
+            raise IndexError("record index out of range")
+        i_f, i_n, i_t, p = np.unravel_index(i % len(self), self.shape)
+        return {"path": int(p), "f": self.labels[i_f], "n": self.n_ladder[i_n],
+                "t": self.t_list[i_t], **{
+                    k: float(self.block(k, i_f, i_n, i_t)[p])
+                    for k in self.columns}}
+
+    def __iter__(self) -> Iterator[dict]:
+        for (i_f, f), (i_n, n), (i_t, t) in product(
+                enumerate(self.labels), enumerate(self.n_ladder),
+                enumerate(self.t_list)):
+            values = {k: self.block(k, i_f, i_n, i_t).tolist()
+                      for k in self.columns}
+            for p in range(self.shape[-1]):
+                yield {"path": p, "f": f, "n": n, "t": t,
+                       **{k: v[p] for k, v in values.items()}}
+
+    def __eq__(self, other):
+        if not isinstance(other, PerPath):
+            return NotImplemented
+        return ((self.labels, self.n_ladder, self.t_list)
+                == (other.labels, other.n_ladder, other.t_list)
+                and self.columns.keys() == other.columns.keys()
+                and all(np.array_equal(a, other.columns[k], equal_nan=True)
+                        for k, a in self.columns.items()))
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
+    """An experiment's result.  ``per_path`` holds the per-path data as
+    columns (see ``PerPath``): the statistic, ``Z`` for the clt kind and
+    ``e`` for the derivative kind, indexed ``[f, n, t, path]``, and ``L``
+    (with ``Lp`` for the derivative kind) indexed ``[n, t, path]``.
+
+    ``serialize_report`` writes the report as the bytes of
+    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` plus a
+    newline, where ``payload["per_path"]`` lists one dict per record in the
+    order f, n, t, path: floats are written as ``float.__repr__`` and
+    non-finite ones as ``NaN``, ``Infinity`` and ``-Infinity``."""
+
     kind: str
     config: ExperimentConfig
-    per_path: tuple
+    per_path: PerPath
     aggregates: dict
     audit: dict
 
@@ -178,7 +276,7 @@ class ExperimentReport:
         # such as the worker count are not part of a report's identity)
         return (self.kind == other.kind
                 and self.config.to_dict() == other.config.to_dict()
-                and list(self.per_path) == list(other.per_path)
+                and self.per_path == other.per_path
                 and self.aggregates == other.aggregates
                 and self.audit == other.audit)
 
@@ -323,17 +421,9 @@ def _along(values, ndim: int) -> np.ndarray:
     return np.reshape(values, (-1,) + (1,) * (ndim - 1))
 
 
-def _records(config: ExperimentConfig, fs, **cols) -> tuple:
-    """Per-path records of columns indexed [f, n, t, path] or [n, t, path]."""
-    shape = (len(fs), len(config.n_ladder), len(config.t_list),
-             config.path_count)
-    cols = {k: np.broadcast_to(v, shape).tolist() for k, v in cols.items()}
-    return tuple({"path": i, "f": fn.label, "n": n, "t": t,
-                  **{k: v[i_f][i_n][it][i] for k, v in cols.items()}}
-                 for i_f, fn in enumerate(fs)
-                 for i_n, n in enumerate(config.n_ladder)
-                 for it, t in enumerate(config.t_list)
-                 for i in range(config.path_count))
+def _per_path(config: ExperimentConfig, fs, columns: dict) -> PerPath:
+    return PerPath(tuple(fn.label for fn in fs), config.n_ladder,
+                   config.t_list, columns)
 
 
 def _check_regime_functions(config: ExperimentConfig, fs, need_w: float):
@@ -418,7 +508,8 @@ def clt_experiment(config: ExperimentConfig,
                 aggregates[name][fn.label][str(n)] = value
 
     return ExperimentReport(
-        kind="clt", config=config, per_path=_records(config, fs, Z=Z, L=L),
+        kind="clt", config=config,
+        per_path=_per_path(config, fs, {"Z": Z, "L": L}),
         aggregates=aggregates, audit=_audit(config))
 
 
@@ -458,7 +549,7 @@ def derivative_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         kind="derivative", config=config,
-        per_path=_records(config, fs, e=E, L=L, Lp=Lp),
+        per_path=_per_path(config, fs, {"e": E, "L": L, "Lp": Lp}),
         aggregates=aggregates, audit=_audit(config))
 
 
@@ -471,26 +562,82 @@ def _audit(config: ExperimentConfig) -> dict:
     }
 
 
+#: json.dumps' tokens for the floats float.__repr__ writes as nan, inf, -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _reprs(values: np.ndarray, nonfinite: dict) -> list[str]:
+    """``float.__repr__`` of each value, non-finite ones through
+    ``nonfinite``."""
+    out = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        out = [nonfinite.get(s, s) for s in out]
+    return out
+
+
+def _record_blocks(per_path: PerPath, fields, template, nonfinite: dict,
+                   sep: str) -> Iterator[str]:
+    """The text of each block of records at one (f, n, t), in record order,
+    joined by ``sep``.  ``template(label, n, t)`` is a %-format with one
+    ``%s`` per name in ``fields`` ("path" or a column key).  A column that
+    does not depend on f is formatted once per (n, t)."""
+    paths = list(map(str, range(per_path.shape[-1])))
+    shared: dict = {}
+    for (i_f, label), (i_n, n), (i_t, t) in product(
+            enumerate(per_path.labels), enumerate(per_path.n_ladder),
+            enumerate(per_path.t_list)):
+        texts = []
+        for k in fields:
+            if k == "path":
+                texts.append(paths)
+            elif per_path.columns[k].ndim == 4:
+                texts.append(_reprs(per_path.block(k, i_f, i_n, i_t),
+                                    nonfinite))
+            else:
+                if (k, i_n, i_t) not in shared:
+                    shared[k, i_n, i_t] = _reprs(
+                        per_path.block(k, i_f, i_n, i_t), nonfinite)
+                texts.append(shared[k, i_n, i_t])
+        yield sep.join(map(template(label, n, t).__mod__, zip(*texts)))
+
+
+def _json_records(per_path: PerPath) -> Iterator[str]:
+    keys = sorted([*per_path.columns, "path", "f", "n", "t"])
+    fields = [k for k in keys if k == "path" or k in per_path.columns]
+
+    def template(label, n, t):
+        fixed = {"f": label, "n": n, "t": t}
+        return "{" + ",".join(
+            json.dumps(k) + ":" + (json.dumps(fixed[k]).replace("%", "%%")
+                                   if k in fixed else "%s")
+            for k in keys) + "}"
+    return _record_blocks(per_path, fields, template, _JSON_NONFINITE, ",")
+
+
+def _csv_lines(per_path: PerPath, value_key: str) -> Iterator[str]:
+    def template(label, n, t):
+        return "%s," + f"{label},{n},{t!r}".replace("%", "%%") + ",%s,%s"
+    return _record_blocks(per_path, ("path", value_key, "L"), template, {},
+                          "\n")
+
+
 def serialize_report(report: ExperimentReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         payload = {
             "kind": report.kind,
             "config": report.config.to_dict(),
-            "per_path": list(report.per_path),
             "aggregates": report.aggregates,
             "audit": report.audit,
         }
-        return (json.dumps(payload, sort_keys=True, separators=(",", ":"))
-                + "\n").encode()
+        head = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # "per_path" sorts after every other top-level key, so the records
+        # close the object
+        blocks = [b.encode() for b in _json_records(report.per_path)]
+        return b"".join([head[:-1].encode(), b',"per_path":[',
+                         b",".join(blocks), b"]}\n"])
     if fmt == "csv":
-        if not report.per_path:
-            return b"path,f,n,t,value,L\n"
-        keys = ["path", "f", "n", "t"]
-        val_key = "Z" if "Z" in report.per_path[0] else "e"
-        lines = ["path,f,n,t,value,L"]
-        for rec in report.per_path:
-            lines.append(",".join([str(rec[k]) for k in keys]
-                                  + [repr(rec[val_key]), repr(rec["L"])]))
+        lines = ["path,f,n,t,value,L",
+                 *_csv_lines(report.per_path, _COLUMNS[report.kind][0])]
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -499,10 +646,30 @@ def deserialize_report(data: bytes, fmt: str = "json") -> ExperimentReport:
     if fmt != "json":
         raise ValueError("only the json format round-trips")
     payload = json.loads(data.decode())
+    if payload["kind"] not in _COLUMNS:
+        raise ValueError(f"unknown report kind {payload['kind']!r}")
+    config = ExperimentConfig.from_dict(payload["config"])
+    labels = tuple(fn.label for fn in config.functions())
+    shape = (len(labels), len(config.n_ladder), len(config.t_list),
+             config.path_count)
+    records = payload["per_path"]
+    if [(r["f"], r["n"], r["t"], r["path"]) for r in records] != list(
+            product(labels, config.n_ladder, config.t_list,
+                    range(config.path_count))):
+        raise ValueError("per-path records are not in the order f, n, t, "
+                         "path of the configuration")
+    columns = {}
+    for i, k in enumerate(_COLUMNS[payload["kind"]]):
+        col = np.array([r[k] for r in records], dtype=float).reshape(shape)
+        if i:
+            if not np.array_equal(col, np.broadcast_to(col[:1], shape),
+                                  equal_nan=True):
+                raise ValueError(f"per-path {k} differs between functions")
+            col = col[0]
+        columns[k] = col
     return ExperimentReport(
-        kind=payload["kind"],
-        config=ExperimentConfig.from_dict(payload["config"]),
-        per_path=tuple(payload["per_path"]),
+        kind=payload["kind"], config=config,
+        per_path=PerPath(labels, config.n_ladder, config.t_list, columns),
         aggregates=payload["aggregates"],
         audit=payload["audit"],
     )

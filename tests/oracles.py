@@ -7,6 +7,7 @@ the variance-form oracle is a brute-force tensor-grid trapezoid rule.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -253,3 +254,46 @@ def oracle_circulant_paths(H: float, T: float, N: int, count: int,
     fgn = np.fft.fft(scale[None, :] * Z, axis=1).real[:, :N]
     return np.concatenate([np.zeros((count, 1)), np.cumsum(fgn, axis=1)],
                           axis=1)
+
+
+def oracle_records(report) -> list[dict]:
+    """The per-path records as the dict list the report stands for: every
+    column broadcast to [f, n, t, path], the axes taken from the config,
+    one dict per record in the order f, n, t, path."""
+    config = report.config
+    labels = [fn.label for fn in config.functions()]
+    shape = (len(labels), len(config.n_ladder), len(config.t_list),
+             config.path_count)
+    cols = {k: np.broadcast_to(v, shape).tolist()
+            for k, v in report.per_path.columns.items()}
+    return [{"path": i, "f": label, "n": n, "t": t,
+             **{k: v[i_f][i_n][it][i] for k, v in cols.items()}}
+            for i_f, label in enumerate(labels)
+            for i_n, n in enumerate(config.n_ladder)
+            for it, t in enumerate(config.t_list)
+            for i in range(config.path_count)]
+
+
+def oracle_serialize_report(report, fmt: str = "json") -> bytes:
+    """The report bytes as ``json.dumps`` writes the dict records (JSON),
+    or one line per record with the statistic found by probing the first
+    record (CSV)."""
+    records = oracle_records(report)
+    if fmt == "json":
+        payload = {
+            "kind": report.kind,
+            "config": report.config.to_dict(),
+            "per_path": records,
+            "aggregates": report.aggregates,
+            "audit": report.audit,
+        }
+        return (json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                + "\n").encode()
+    if not records:
+        return b"path,f,n,t,value,L\n"
+    val_key = "Z" if "Z" in records[0] else "e"
+    lines = ["path,f,n,t,value,L"]
+    for rec in records:
+        lines.append(",".join([str(rec[k]) for k in ("path", "f", "n", "t")]
+                              + [repr(rec[val_key]), repr(rec["L"])]))
+    return ("\n".join(lines) + "\n").encode()

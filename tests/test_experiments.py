@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,8 @@ from fbmlab import limits
 from fbmlab import localtime as lt
 from fbmlab import testfuncs as tf
 from fbmlab.errors import CostGuardError
+
+import oracles
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GD_LABEL = "gaussian_derivative(sigma=1)"
@@ -100,6 +103,15 @@ class TestConfig:
         # both specs build hat(a=-1,b=1): their records could not be told apart
         with pytest.raises(ValueError, match="distinct"):
             small_config(f=("hat", "hat:a=-1,b=1"))
+
+    def test_duplicate_time_rejected(self):
+        # aggregates are keyed by time: one time's would overwrite the other's
+        with pytest.raises(ValueError, match="distinct"):
+            small_config(t_list=(0.5, 0.5, 1.0))
+
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(ValueError, match="at least one scale"):
+            small_config(n_ladder=())
 
 
 class TestFunctional:
@@ -332,6 +344,25 @@ class TestDerivativeExperiment:
         l2 = rep.aggregates["l2_error"][lbl]["1.0"]
         assert l2["512"] < l2["128"] < l2["32"]
 
+    def test_retained_per_path_data_is_small(self):
+        # the deriv-ladder shape at 200 paths: 12,000 records, kept as the
+        # kernel's columns (e per record, L and Lp per (n, t, path)), not as
+        # one dict per record (~336 B each)
+        cfg = exp.ExperimentConfig(
+            H=0.25, f=("gaussian_bump:sigma=1,center=0.5", "hat:a=-1,b=1",
+                       "indicator:a=0,b=1"),
+            t_list=(0.25, 0.5, 0.75, 1.0), n_ladder=(16, 64, 256, 1024, 4096),
+            path_count=200, grid_per_unit=2 ** 10, batch_size=100)
+        exp.derivative_experiment(cfg)  # warm the spectrum cache
+        tracemalloc.start()
+        try:
+            rep = exp.derivative_experiment(cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.per_path) == 12000
+        assert retained <= 32 * len(rep.per_path)
+
 
 KINDS = [(exp.clt_experiment, dict(H=0.6, f=("gaussian_derivative:sigma=1",))),
          (exp.derivative_experiment,
@@ -370,6 +401,106 @@ class TestFunctionalKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 20 * (cfg.grid_points + 1) * 8
+
+
+WRITER_KINDS = {
+    "clt": (exp.clt_experiment,
+            dict(H=0.6, f=("gaussian_derivative:sigma=1", "hat:a=-1,b=1"))),
+    "derivative": (exp.derivative_experiment,
+                   dict(H=0.25, f=("gaussian_bump:sigma=1,center=0.5",
+                                   "hat:a=-1,b=1"))),
+}
+
+
+def with_columns(rep, columns):
+    return dataclasses.replace(rep, per_path=dataclasses.replace(
+        rep.per_path, columns=columns))
+
+
+def with_nonfinite(rep):
+    """The report with NaN, +inf and -inf written into every column."""
+    columns = {k: a.copy() for k, a in rep.per_path.columns.items()}
+    for a in columns.values():
+        a.reshape(-1)[[0, 7, -1]] = [np.nan, np.inf, -np.inf]
+    return with_columns(rep, columns)
+
+
+class TestPerPathColumns:
+    @pytest.fixture(scope="class", params=sorted(WRITER_KINDS))
+    def report(self, request):
+        # 2 functions x 2 times x 3 scales, each n at its own bandwidth, at
+        # a level off zero
+        run, kind = WRITER_KINDS[request.param]
+        return run(exp.ExperimentConfig(
+            **kind, lam=0.3, eps_policy="n2h", t_list=(0.5, 1.0),
+            n_ladder=(4, 16, 64), path_count=5, grid_per_unit=256, seed=3,
+            batch_size=2))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("nonfinite", [False, True],
+                             ids=["finite", "nonfinite"])
+    def test_bytes_equal_the_dict_record_oracle(self, report, fmt,
+                                                 nonfinite):
+        rep = with_nonfinite(report) if nonfinite else report
+        data = exp.serialize_report(rep, fmt)
+        assert data == oracles.oracle_serialize_report(rep, fmt)
+        if nonfinite:
+            tokens = ((b":NaN,", b":Infinity,", b":-Infinity,")
+                      if fmt == "json" else (b",nan", b",inf", b",-inf"))
+            assert all(tok in data for tok in tokens)
+
+    def test_records_equal_the_oracle_records(self, report):
+        records = oracles.oracle_records(report)
+        pp = report.per_path
+        assert len(pp) == len(records) == 2 * 3 * 2 * 5
+        assert list(pp) == records
+        assert [pp[i] for i in range(len(pp))] == records
+        assert pp[-1] == records[-1]
+        with pytest.raises(IndexError):
+            pp[len(pp)]
+
+    @pytest.mark.parametrize("nonfinite", [False, True],
+                             ids=["finite", "nonfinite"])
+    def test_round_trip(self, report, nonfinite):
+        rep = with_nonfinite(report) if nonfinite else report
+        assert exp.deserialize_report(exp.serialize_report(rep)) == rep
+
+    def test_labels_are_written_as_json_writes_them(self, report):
+        pp = report.per_path
+        label = 'a%s"b\\c\u00e9'
+        odd = dataclasses.replace(pp, labels=(label,) + pp.labels[1:])
+        rep = dataclasses.replace(report, per_path=odd)
+        text = exp.serialize_report(rep).decode()
+        assert text.endswith('"per_path":' + json.dumps(
+            list(odd), sort_keys=True, separators=(",", ":")) + "}\n")
+        first = exp.serialize_report(rep, "csv").decode().split("\n")[1]
+        assert first.split(",")[:4] == ["0", label, "4", "0.5"]
+
+    def test_reordered_records_rejected(self, report):
+        payload = json.loads(exp.serialize_report(report))
+        recs = payload["per_path"]
+        recs[0], recs[1] = recs[1], recs[0]
+        with pytest.raises(ValueError, match="order"):
+            exp.deserialize_report(json.dumps(payload).encode())
+
+    def test_shared_column_must_repeat_across_functions(self, report):
+        payload = json.loads(exp.serialize_report(report))
+        payload["per_path"][-1]["L"] += 1.0
+        with pytest.raises(ValueError, match="differs between functions"):
+            exp.deserialize_report(json.dumps(payload).encode())
+
+    def test_unknown_kind_rejected(self, report):
+        payload = json.loads(exp.serialize_report(report))
+        payload["kind"] = "bogus"
+        with pytest.raises(ValueError, match="kind"):
+            exp.deserialize_report(json.dumps(payload).encode())
+
+    def test_column_shapes_checked(self, report):
+        Z = np.zeros((2, 3, 2, 5))
+        with pytest.raises(ValueError, match="shaped"):
+            with_columns(report, {"Z": Z, "L": np.zeros((3, 2, 4))})
+        with pytest.raises(ValueError, match="shaped"):
+            with_columns(report, {"Z": Z[:, :2]})
 
 
 class TestFirstOrderL2Decay:
