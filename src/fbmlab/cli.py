@@ -48,7 +48,7 @@ def _cmd_constants(args) -> int:
         val, err = cst.beta3_with_error(H, s1, s2, mode=mode)
         payload["beta3"] = {"s1": s1, "s2": s2, "value": val,
                             "error_estimate": err}
-    if H >= 1.0 / 3.0 - 1e-12:
+    if cfg.regime is not cst.Regime.SUBCRITICAL:
         payload["ell"] = {str(n): cst.ell(n, H)
                           for n in (2, 10, 100, 1000, 10000)}
     _emit(payload, args.out)

@@ -62,7 +62,9 @@ def c_h(H: float) -> float:
 
 
 def beta1(H: float) -> float:
-    """Short-time amplitude of the Volterra kernel near its diagonal."""
+    """Short-time amplitude of the Volterra kernel near its diagonal: the
+    prefactor of its closed form, K_H(t,s) = beta1 (t-s)^(H-1/2) 2F1(...)
+    (see ``fbm``)."""
     _check_h(H)
     if H > 0.5 + CRITICAL_TOL:
         return c_h(H) / (H - 0.5)

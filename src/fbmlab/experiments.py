@@ -526,6 +526,10 @@ def derivative_experiment(config: ExperimentConfig) -> ExperimentReport:
     H = config.H
     if regime_of(H) is not Regime.SUBCRITICAL:
         raise ValueError("derivative_experiment requires H < 1/3")
+    if len(config.n_ladder) < 2:
+        # the log-log slope of the L2 error needs two scales to fit
+        raise ValueError("derivative_experiment needs at least two scales "
+                         "in n_ladder")
     fs = config.functions()
     _check_regime_functions(config, fs, 1.0 + 1.0)  # weight 1+nu with nu=1
     mom = [moments(fn) for fn in fs]

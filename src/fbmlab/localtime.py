@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
+from .constants import Regime, _check_h, regime_of
 from .errors import CostGuardError
 from .fbm import FbmPath
 from .testfuncs import TestFunction
@@ -126,7 +127,7 @@ def mollified_local_time(path: FbmPath, lam: float, eps: float,
     applied to the path, at level lam."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if kind == "derivative" and path.H >= 1.0 / 3.0 - 1e-12:
+    if kind == "derivative" and regime_of(path.H) is not Regime.SUBCRITICAL:
         warnings.warn("derivative-kind local time diverges (as the bandwidth "
                       "shrinks) for H >= 1/3", DivergentEstimatorWarning)
     x = path.values - lam
@@ -154,7 +155,7 @@ def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
     if 2 * m_half > FOURIER_COST_GUARD:
         raise CostGuardError(f"xi grid of {2*m_half} nodes exceeds the cost "
                              f"guard ({FOURIER_COST_GUARD:g})")
-    if kind == "derivative" and path.H >= 1.0 / 3.0 - 1e-12:
+    if kind == "derivative" and regime_of(path.H) is not Regime.SUBCRITICAL:
         warnings.warn("derivative-kind local time diverges (as the cutoff "
                       "grows) for H >= 1/3", DivergentEstimatorWarning)
 
@@ -211,8 +212,7 @@ def occupation_density_check(path: FbmPath, f: TestFunction,
 
 
 def _check_h_t(H: float, t: float) -> None:
-    if not (0.0 < H < 1.0):
-        raise ValueError(f"Hurst parameter must lie in (0,1), got {H!r}")
+    _check_h(H)
     if t < 0:
         raise ValueError("t must be nonnegative")
 

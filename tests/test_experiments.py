@@ -310,6 +310,19 @@ class TestDerivativeExperiment:
         with pytest.raises(ValueError):
             exp.derivative_experiment(small_config(H=0.5))
 
+    def test_one_scale_ladder_rejected(self, monkeypatch):
+        # a log-log slope through one point is meaningless; refuse before
+        # any path is drawn
+        def no_simulation(*args, **kw):
+            raise AssertionError("simulated a one-scale ladder")
+
+        monkeypatch.setattr(exp, "_simulate", no_simulation)
+        cfg = small_config(H=0.25, f=("gaussian_bump:sigma=1,center=0.5",),
+                           n_ladder=(64,), grid_per_unit=64, path_count=2,
+                           seed=0)
+        with pytest.raises(ValueError, match="two scales"):
+            exp.derivative_experiment(cfg)
+
     def test_golden_bytes(self):
         cfg = exp.ExperimentConfig(
             H=0.25, f=("gaussian_bump:sigma=1,center=0.5",), t_list=(1.0,),

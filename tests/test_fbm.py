@@ -7,6 +7,7 @@ from scipy import stats
 
 from fbmlab import constants as cst
 from fbmlab import fbm
+from fbmlab import localtime as lt
 
 import oracles
 
@@ -39,6 +40,12 @@ class TestKernel:
         assert fbm.volterra_kernel(0.5, 2.0, 1.0) == 1.0
         assert fbm.volterra_kernel(0.5, 1.0, 2.0) == 0.0
 
+    def test_brownian_closed_form_is_exactly_one(self):
+        # the 2F1 closed form needs no H = 1/2 branch: every factor is 1
+        t = np.geomspace(1e-3, 1e3, 40)
+        s = t[:, None] * np.geomspace(1e-6, 1.0 - 1e-9, 30)[None, :]
+        assert np.all(fbm.volterra_kernel(0.5, t[:, None], s) == 1.0)
+
     def test_vanishes_at_and_past_diagonal(self):
         for H in (0.3, 0.75):
             assert fbm.volterra_kernel(H, 1.0, 1.0) == 0.0
@@ -55,13 +62,13 @@ class TestKernel:
             K_075_2_1, rel=1e-9)
 
     def test_matches_romberg_oracle(self):
-        rng = np.random.default_rng(2)
-        for H in (0.3, 0.45, 0.6, 0.75):
-            for _ in range(5):
-                t = rng.uniform(0.3, 5.0)
-                s = t * rng.uniform(0.05, 0.95)
+        # below s/t = 1e-3 the Romberg oracle, not the kernel, is the limit
+        for H in (0.05, 0.2, 1.0 / 3.0, 0.45, 0.55, 0.75, 0.95):
+            for t, x in zip((0.3, 1.0, 2.5, 5.0) * 3,
+                            np.geomspace(1e-3, 0.999999, 12)):
+                s = t * x
                 assert fbm.volterra_kernel(H, t, s) == pytest.approx(
-                    oracles.oracle_kernel(H, t, s), rel=1e-8)
+                    oracles.oracle_kernel(H, t, s), rel=1e-10)
 
     def test_bracket_above_half(self):
         # C_H (H-1/2)^-1 (t-s)^(H-1/2) <= K <= (t/s)^(H-1/2) * same
@@ -94,10 +101,25 @@ class TestKernel:
                 assert lo * (1 - 1e-9) <= k <= hi * (1 + 1e-9)
 
     def test_variance_identity(self):
-        # int_0^t K^2(t, .) = t^{2H}: pins the normalizing constant
-        for H in (0.25, 0.4, 0.75):
+        # int_0^t K^2(t, .) = t^{2H}: pins the normalizing constant, and the
+        # theta -> 0 end reaches the 2F1 argument 1 - t/theta -> -infinity
+        for H in (0.1, 0.25, 0.3, 0.4, 0.6, 0.75, 0.9):
             assert fbm.mu(H, 0.0, 1.3) == pytest.approx(1.3 ** (2 * H),
-                                                        rel=1e-8)
+                                                        rel=1e-12)
+
+    @pytest.mark.parametrize("H", [0.3, 0.75])
+    def test_matrix_peak_memory(self, H):
+        # the kernel matrix is built from closed-form values, with no
+        # per-value quadrature nodes: peak a few times the matrix itself
+        fbm._volterra_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            K = fbm._volterra_matrix(H, 1.0, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            fbm._volterra_matrix.cache_clear()
+        assert peak <= 8 * K.nbytes
 
 
 class TestMu:
@@ -315,3 +337,36 @@ class TestConditionalIncrementVariance:
             errs.append(abs(v - target))
         assert errs[-1] < errs[0]
         assert errs[-1] < 0.02 * target
+
+    @pytest.mark.parametrize("H", [0.25, 0.4, 0.6, 0.75])
+    @pytest.mark.parametrize("r, t2", [(1.0, 1.5), (0.5, 2.0),
+                                       (1.0, 1.0 + 2.0 ** -6)])
+    def test_projection_identity_at_r_equal_t1(self, H, r, t2):
+        # r = t1: Var[B_r - E(B_t2 | F_r)]
+        #   = r^2H + (t2^2H - mu(r, t2)) - 2 Cov(B_r, B_t2)
+        want = (r ** (2 * H) + t2 ** (2 * H) - fbm.mu(H, r, t2)
+                - 2.0 * fbm.covariance(H, r, t2))
+        got = fbm.conditional_increment_variance(H, r, r, t2)
+        assert got == pytest.approx(want, rel=1e-6)
+
+
+_BAD_H = [0.0, 1.0, -0.2, 1.5, float("nan")]
+_HURST_CALLS = {
+    "covariance": lambda H: fbm.covariance(H, 0.5, 1.0),
+    "volterra_kernel": lambda H: fbm.volterra_kernel(H, 1.0, 0.5),
+    "mu": lambda H: fbm.mu(H, 0.5, 1.0),
+    "conditional_increment_variance":
+        lambda H: fbm.conditional_increment_variance(H, 0.5, 1.0, 1.5),
+    "sample_paths": lambda H: fbm.sample_paths(H, 1.0, 8, 1, seed=0),
+    "sample_values": lambda H: fbm.sample_values(H, 1.0, 8, 1, seed=0),
+    "expected_local_time": lambda H: lt.expected_local_time(H, 1.0, 0.0),
+    "expected_mollified_local_time":
+        lambda H: lt.expected_mollified_local_time(H, 1.0, 0.0, 1e-2, 8),
+}
+
+
+@pytest.mark.parametrize("H", _BAD_H)
+@pytest.mark.parametrize("name", sorted(_HURST_CALLS))
+def test_rejects_hurst_outside_unit_interval(name, H):
+    with pytest.raises(ValueError, match=r"must lie in \(0,1\), got"):
+        _HURST_CALLS[name](H)

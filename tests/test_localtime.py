@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,33 @@ class TestFourierEstimator:
         curve = lt.fourier_local_time(p, 0.0, 50.0, 0.05)
         assert curve.imag_residue == 0.0
         assert np.isfinite(curve.values).all()
+
+    @pytest.mark.parametrize("H", [1.0 / 3.0, 0.6])
+    def test_derivative_warns_from_critical(self, H):
+        p = fbm.sample_paths(H, 1.0, 64, 1, seed=1)[0]
+        with pytest.warns(lt.DivergentEstimatorWarning):
+            lt.fourier_local_time(p, 0.0, 10.0, 0.1, kind="derivative")
+
+    def test_derivative_silent_below_critical(self):
+        p = fbm.sample_paths(0.3, 1.0, 64, 1, seed=1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lt.fourier_local_time(p, 0.0, 10.0, 0.1, kind="derivative")
+
+    @pytest.mark.parametrize("kind", ["level", "derivative"])
+    def test_explicit_frequency_sum_matches_dirichlet(self, kind):
+        # max|B - lam| * d_xi in [pi/2, pi) takes the explicit frequency
+        # loop, while the Dirichlet closed form still holds there
+        p = fbm.sample_paths(0.25, 1.0, 256, 1, seed=4)[0]
+        lam, m = 0.2, 40
+        x = p.values - lam
+        d_xi = 0.75 * math.pi / np.abs(x).max()
+        assert 0.5 * math.pi <= np.abs(x).max() * d_xi < math.pi
+        curve = lt.fourier_local_time(p, lam, m * d_xi, d_xi, kind=kind)
+        acc = lt._dirichlet_sum(x, m, d_xi, kind) * d_xi / (2.0 * math.pi)
+        want = lt._cumtrapz(acc, p.dt)
+        assert np.allclose(curve.values, want, rtol=0.0,
+                           atol=1e-12 * np.abs(want).max())
 
     def test_cost_guard(self):
         p = flat_path(N=16)

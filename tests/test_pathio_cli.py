@@ -150,6 +150,28 @@ class TestCli:
             want = Path(os.path.join(data_dir, "golden_" + name)).read_bytes()
             assert got == want, f"{name} differs from the pinned output"
 
+    def test_report_derivative_plots(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), "data",
+                           "golden_derivative_report.json")
+        rep = exp.deserialize_report(Path(src).read_bytes())
+        plots = str(tmp_path / "plots")
+        assert cli.main(["report", "--in", src, "--plots", plots]) == 0
+        assert sorted(os.listdir(plots)) == ["l2_error.csv", "l2_error.svg"]
+        svg = Path(os.path.join(plots, "l2_error.svg")).read_text()
+        assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+        header, *rows = Path(os.path.join(plots, "l2_error.csv")) \
+            .read_text().splitlines()
+        l2 = rep.aggregates["l2_error"]
+        t_last = str(float(rep.config.t_list[-1]))
+        assert header == ",".join(["n"] + sorted(l2))
+        assert len(rows) == len(rep.config.n_ladder)
+        for row, n in zip(rows, rep.config.n_ladder):
+            cells = row.split(",")
+            assert len(cells) == 1 + len(l2)
+            assert float(cells[0]) == n
+            for label, cell in zip(sorted(l2), cells[1:]):
+                assert float(cell) == l2[label][t_last][str(n)]
+
     def test_cost_guard_exit_code(self, tmp_path):
         cfg = {
             "H": 0.6, "f": ["gaussian_derivative:sigma=1"],
