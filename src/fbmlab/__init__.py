@@ -2,7 +2,7 @@
 theory of their additive functionals."""
 
 from .constants import (Beta3Mode, HurstConfig, Regime, beta1, beta2, beta3,
-                        beta3_with_error, c_h, ell, regime_of)
+                        c_h, ell, regime_of)
 from .errors import CostGuardError
 from .experiments import (ExperimentConfig, ExperimentReport,
                           clt_experiment, compensated_functional_Z,

@@ -45,9 +45,8 @@ def _cmd_constants(args) -> int:
     if args.beta3:
         s1, s2 = (float(x) for x in args.beta3.split(","))
         mode = cst.Beta3Mode.LIMIT if args.beta3_limit_mode else cst.Beta3Mode.ZERO
-        val, err = cst.beta3_with_error(H, s1, s2, mode=mode)
-        payload["beta3"] = {"s1": s1, "s2": s2, "value": val,
-                            "error_estimate": err}
+        payload["beta3"] = {"s1": s1, "s2": s2,
+                            "value": cst.beta3(H, s1, s2, mode=mode)}
     if cfg.regime is not cst.Regime.SUBCRITICAL:
         payload["ell"] = {str(n): cst.ell(n, H)
                           for n in (2, 10, 100, 1000, 10000)}
@@ -92,15 +91,9 @@ def _cmd_localtime(args) -> int:
             d_xi = args.d_xi if args.d_xi else xi_max / 2048.0
             curves.append(localtime.fourier_local_time(p, args.lam, xi_max,
                                                        d_xi, kind=args.kind))
-    t = curves[0].times
-    header = "t,value" if len(curves) == 1 else (
-        "t," + ",".join(f"value_{i}" for i in range(len(curves))))
-    lines = [header]
-    for k, tk in enumerate(t):
-        row = ",".join(repr(float(c.values[k])) for c in curves)
-        lines.append(f"{tk!r},{row}")
     with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(pathio.columns_to_csv(curves[0].times,
+                                       [c.values for c in curves]))
     return EXIT_OK
 
 

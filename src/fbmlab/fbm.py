@@ -158,6 +158,7 @@ class FbmPath:
     wiener_increments: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        _check_h(self.H)
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.values.shape != (self.N + 1,):

@@ -2,7 +2,8 @@
 
 ``a_h`` evaluates the asymptotic-variance bilinear form for H > 1/3 as a
 Gauss-Hermite x tensor Gauss-Legendre quadrature of the double-time-scale
-integral; ``a_one_third`` evaluates the critical-case product formula; and
+integral, whose Gaussian variance calls the closed-form ``beta3`` on the
+node arrays; ``a_one_third`` evaluates the critical-case product formula; and
 ``covariance_matrix`` assembles the limit covariance of a vector of test
 functions together with its PSD square root.
 
@@ -103,20 +104,6 @@ class _FourierProfile:
         return out - self._m0
 
 
-_BETA3_PROFILES: dict[float, PchipInterpolator] = {}
-
-
-def _beta3_profile(H: float) -> PchipInterpolator:
-    """Interpolated x -> beta3(H, x, 1) on [0, 1]; beta3 at any (s1, s2)
-    follows from the scaling beta3(c s1, c s2) = c^{2H} beta3(s1, s2)."""
-    if H not in _BETA3_PROFILES:
-        xs = np.concatenate([[0.0], np.geomspace(1e-6, 0.05, 140),
-                             np.linspace(0.05, 1.0, 260)[1:]])
-        qs = np.array([beta3(H, x, 1.0, rtol=1e-9) for x in xs])
-        _BETA3_PROFILES[H] = PchipInterpolator(xs, qs)
-    return _BETA3_PROFILES[H]
-
-
 #: time-scale nodes per chunk of the a_h kernel (x gh_order values per profile)
 _CHUNK_NODES = 2 ** 10
 
@@ -142,9 +129,7 @@ def _a_h_tensor(profiles: Sequence[_FourierProfile], pairs, H: float,
     s = v ** p
 
     S1, S2 = np.meshgrid(s, s, indexing="ij")
-    lo, hi = np.minimum(S1, S2), np.maximum(S1, S2)    # every node s > 0
-    V = (b2 * (S1 ** (2 * H) + S2 ** (2 * H))
-         + hi ** (2 * H) * _beta3_profile(H)(lo / hi))
+    V = b2 * (S1 ** (2 * H) + S2 ** (2 * H)) + beta3(H, S1, S2)
     Vf = V.ravel()
     # eta-integral with the exact Gaussian weight:
     #   int eta^2 b(eta) exp(-V eta^2 / 2) deta
@@ -189,25 +174,25 @@ def a_h(f: TestFunction, g: TestFunction, H: float,
 def a_one_third(f: TestFunction, g: TestFunction,
                 convention: str = "printed") -> float:
     """Critical-case constant: product of the first moments with a
-    one-dimensional profile integral over the time-scale ratio, to relative
-    tolerance 1e-8 (``Beta3Mode`` only acts at H = 1/2, so it has no say).
+    one-dimensional integral over the time-scale ratio s of
+    (beta2 (1 + s^{2/3}) + beta3(1/3, s, 1))^{-5/2}, to relative tolerance
+    1e-8.
 
     Two conventions are exposed:
 
     * ``printed`` (default): the displayed product formula, prefactor
-      6/sqrt(pi) with the increment-variance profile carrying its displayed
-      |H-1/2|^-2 factor.  Desk-scale slope estimates sit near this value
-      (the critical case approaches its limit only logarithmically).
+      6/sqrt(pi) with beta3 carrying its displayed |H-1/2|^-2 factor.
+      Desk-scale slope estimates sit near this value (the critical case
+      approaches its limit only logarithmically).
     * ``asymptotic``: the true n -> infinity variance slope, which exact
       second-moment quadrature pins at sqrt(2/pi) * m1(f) * m1(g); it equals
-      the printed structure with the covariance-consistent profile and a
+      the printed structure with the covariance-consistent beta3 and a
       1/sqrt(2) adjustment.
     """
     _require_xi((f, g), 2.0, " (needed at the critical point)")
     H = 1.0 / 3.0
     b1 = beta1(H)
     b2 = beta2(H)
-    prof = _beta3_profile(H)
     if convention == "printed":
         prefactor = 6.0 / math.sqrt(math.pi)
         b3_scale = (H - 0.5) ** -2
@@ -221,7 +206,7 @@ def a_one_third(f: TestFunction, g: TestFunction,
     def integrand(u):
         s = u ** 6
         return 6.0 * u ** 4 * (b2 * (1.0 + u ** 4)
-                               + b3_scale * prof(s)) ** -2.5
+                               + b3_scale * beta3(H, s, 1.0)) ** -2.5
 
     I, _ = integrate.quad(integrand, 0.0, 1.0, epsrel=1e-8, limit=200)
     return prefactor * b1 * b1 * moments(f)[1] * moments(g)[1] * I

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fbm import FbmPath
 
-__all__ = ["write_paths", "read_paths", "paths_to_csv"]
+__all__ = ["write_paths", "read_paths", "columns_to_csv", "paths_to_csv"]
 
 _MAGIC = b"FBMP"
 _VERSION = 1
@@ -61,18 +61,20 @@ def read_paths(filename: str, T: float = 1.0) -> list[FbmPath]:
             for i in range(count)]
 
 
+def columns_to_csv(t: np.ndarray, columns: Sequence[np.ndarray]) -> str:
+    """Time-indexed columns as CSV: header ``t,value`` for one column,
+    ``t,value_0,value_1,...`` for several; every field is a plain number."""
+    if not columns:
+        raise ValueError("nothing to export")
+    names = (["value"] if len(columns) == 1
+             else [f"value_{i}" for i in range(len(columns))])
+    rows = np.column_stack([t, *columns]).tolist()
+    lines = [",".join(["t"] + names)] + [",".join(map(repr, r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def paths_to_csv(paths: Sequence[FbmPath]) -> str:
-    """Single path: header ``t,value``; several paths: one column each."""
+    """The paths' values on their shared grid, one column each."""
     if not paths:
         raise ValueError("nothing to export")
-    t = paths[0].times
-    if len(paths) == 1:
-        lines = ["t,value"]
-        for ti, vi in zip(t, paths[0].values):
-            lines.append(f"{ti!r},{vi!r}")
-    else:
-        lines = ["t," + ",".join(f"value_{i}" for i in range(len(paths)))]
-        for k, ti in enumerate(t):
-            row = ",".join(repr(float(p.values[k])) for p in paths)
-            lines.append(f"{ti!r},{row}")
-    return "\n".join(lines) + "\n"
+    return columns_to_csv(paths[0].times, [p.values for p in paths])

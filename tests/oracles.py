@@ -100,8 +100,10 @@ def oracle_beta3_raw(H: float, s1: float, s2: float) -> float:
     if min(s1, s2) > 0.0:
         main += lo * (s1 ** a - s2 ** a) ** 2
     elif H < 0.5:
-        # one argument vanishes: integrand ~ theta^(2a) near zero
-        main += lo ** (2 * a + 1) / (2 * a + 1)
+        # one argument vanishes: expand (theta^a - s^a)^2, s = max(s1, s2)
+        s = max(s1, s2)
+        main += (lo ** (2 * a + 1) / (2 * a + 1)
+                 - 2 * s ** a * lo ** (a + 1) / (a + 1) + lo * s ** (2 * a))
     else:
         main += lo * max(s1, s2) ** (2 * a)
     # tail: integrand ~ a^2 (s1-s2)^2 th^(2H-3)

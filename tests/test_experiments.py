@@ -404,9 +404,7 @@ class TestFunctionalKernel:
         # evaluation temporaries are row chunks, not copies of the batch
         cfg = exp.ExperimentConfig(**kind, path_count=20,
                                    grid_per_unit=2 ** 14, batch_size=20)
-        limits.a_one_third(tf.gaussian_derivative(1.0),
-                           tf.gaussian_derivative(1.0))
-        run(cfg)  # warm the beta3 profile and the spectrum caches
+        run(cfg)  # warm the spectrum caches
         tracemalloc.start()
         try:
             run(cfg)

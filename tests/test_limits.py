@@ -156,7 +156,7 @@ class TestAOneThird:
             m1f = tf.moments(f)[1]
             m1g = tf.moments(g)[1]
             assert limits.a_one_third(f, g, convention="asymptotic") == \
-                pytest.approx(math.sqrt(2 / math.pi) * m1f * m1g, rel=1e-6)
+                pytest.approx(math.sqrt(2 / math.pi) * m1f * m1g, rel=1e-12)
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError):

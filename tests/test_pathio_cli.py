@@ -53,6 +53,16 @@ class TestContainer:
         with pytest.raises(ValueError):
             pathio.read_paths(fn)
 
+    def test_rejects_hurst_outside_unit_interval(self, tmp_path):
+        fn = str(tmp_path / "bad.fbmp")
+        with open(fn, "wb") as fh:
+            fh.write(struct.pack("<4sIdIIQ", b"FBMP", 1, 1.5, 8, 1, 0))
+            fh.write(np.zeros(9).tobytes())
+        with pytest.raises(ValueError, match="Hurst"):
+            pathio.read_paths(fn)
+        assert cli.main(["localtime", "--in", fn, "--lambda", "0",
+                         "--out", str(tmp_path / "lt.csv")]) == 2
+
     def test_csv_headers(self):
         one = fbm.sample_paths(0.6, 1.0, 4, 1, seed=3)
         many = fbm.sample_paths(0.6, 1.0, 4, 3, seed=3)
@@ -104,6 +114,33 @@ class TestCli:
         lines = Path(ltfile).read_text().splitlines()
         assert lines[0] == "t,value_0,value_1"
         assert len(lines) == 258
+
+    @staticmethod
+    def assert_numeric_csv(fn, T, N, columns):
+        header, *rows = Path(fn).read_text().splitlines()
+        assert header.split(",")[0] == "t"
+        assert len(header.split(",")) == 1 + columns
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert table.shape == (N + 1, 1 + columns)
+        assert np.array_equal(table[:, 0], np.linspace(0, T, N + 1))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_simulate_csv_is_numeric(self, tmp_path, count):
+        csv = str(tmp_path / "p.csv")
+        assert cli.main(["simulate", "--H", "0.6", "--T", "2", "--N", "8",
+                         "--count", str(count), "--out",
+                         str(tmp_path / "p.fbmp"), "--csv", csv]) == 0
+        self.assert_numeric_csv(csv, 2.0, 8, count)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_localtime_csv_is_numeric(self, tmp_path, count):
+        pfile = str(tmp_path / "p.fbmp")
+        csv = str(tmp_path / "lt.csv")
+        assert cli.main(["simulate", "--H", "0.6", "--N", "8", "--count",
+                         str(count), "--out", pfile]) == 0
+        assert cli.main(["localtime", "--in", pfile, "--T", "2",
+                         "--lambda", "0", "--out", csv]) == 0
+        self.assert_numeric_csv(csv, 2.0, 8, count)
 
     def test_limit_const_json(self, tmp_path, capsys):
         out = str(tmp_path / "A.json")
