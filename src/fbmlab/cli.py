@@ -6,6 +6,7 @@ runtime or cost-guard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -113,10 +114,9 @@ def _cmd_limit_const(args) -> int:
 
 def _run_experiment(args, runner, kind: str) -> int:
     with open(args.config) as fh:
-        cfg_dict = json.load(fh)
+        config = exp.ExperimentConfig.from_dict(json.load(fh))
     if args.threads is not None:
-        cfg_dict["threads"] = args.threads
-    config = exp.ExperimentConfig.from_dict(cfg_dict)
+        config = dataclasses.replace(config, threads=args.threads)
     t0 = time.monotonic()
     rep = runner(config)
     elapsed = time.monotonic() - t0

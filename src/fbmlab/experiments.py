@@ -37,7 +37,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from itertools import combinations, product
 from typing import Iterator, Optional
 
@@ -46,9 +46,9 @@ import numpy as np
 from .constants import ell, regime_of, Regime
 from .errors import CostGuardError
 from .fbm import CHOLESKY_MAX_N, VALUE_METHODS, FbmPath, sample_values
-from .limits import QuadConfig, QuadResult, a_h, a_one_third
+from .limits import QuadResult, a_h, a_one_third
 from .localtime import heat_kernel, heat_kernel_prime
-from .testfuncs import TestFunction, from_spec, in_xi, moments
+from .testfuncs import TestFunction, from_spec, moments, require_xi
 
 __all__ = [
     "ExperimentConfig", "ExperimentReport", "PerPath", "UndersamplingWarning",
@@ -173,10 +173,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config a JSON object spells (``lambda`` for ``lam``); any other
+        payload, an unknown key or a mistyped value raises ``ValueError``."""
+        if not isinstance(d, dict):
+            raise ValueError(f"an experiment config is a JSON object, not "
+                             f"{type(d).__name__}")
         d = dict(d)
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
-        return cls(**d)
+        unknown = sorted(set(d) - {fl.name for fl in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown experiment config keys: {unknown}")
+        try:
+            return cls(**d)
+        except TypeError as exc:
+            raise ValueError(f"bad experiment config value: {exc}") from exc
 
 
 #: per report kind, its value columns; the first is indexed [f, n, t, path],
@@ -426,13 +437,6 @@ def _per_path(config: ExperimentConfig, fs, columns: dict) -> PerPath:
                    config.t_list, columns)
 
 
-def _check_regime_functions(config: ExperimentConfig, fs, need_w: float):
-    for fn in fs:
-        if not in_xi(fn, need_w):
-            raise ValueError(f"{fn.label} fails the weight-{need_w:g} "
-                             "integrability requirement for this regime")
-
-
 def _certified(q: QuadResult) -> tuple[float, float]:
     """Value rounded at the decade of its error estimate, and the error to
     two significant digits; a zero error leaves the value as it is."""
@@ -442,8 +446,7 @@ def _certified(q: QuadResult) -> tuple[float, float]:
             float(f"{q.error:.2g}"))
 
 
-def clt_experiment(config: ExperimentConfig,
-                   quad_config: Optional[QuadConfig] = None) -> ExperimentReport:
+def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Mixed-Gaussian limit experiment for H >= 1/3.
 
     Each record's ``Z`` is ``compensated_functional_Z`` of its path: under
@@ -455,13 +458,13 @@ def clt_experiment(config: ExperimentConfig,
     itself is reported as ``a_hat_error[label]``, and ``cf_distance`` and
     ``cross_time.predicted`` are computed from the rounded value.  At the
     critical point ``a_one_third`` carries no error estimate, so ``a_hat`` is
-    written as computed and no ``a_hat_error`` is reported."""
+    written as computed and no ``a_hat_error`` is reported.  Both reject a
+    non-integrable f before any path is drawn."""
     H = config.H
     reg = regime_of(H)
     if reg is Regime.SUBCRITICAL:
         raise ValueError("clt_experiment requires H >= 1/3")
     fs = config.functions()
-    _check_regime_functions(config, fs, 2.0 if reg is Regime.CRITICAL else 1.0)
 
     # limit-variance estimates used by the characteristic-function distance
     a_hat, a_hat_error = {}, {}
@@ -470,7 +473,7 @@ def clt_experiment(config: ExperimentConfig,
             a_hat[fn.label] = a_one_third(fn, fn)
         else:
             a_hat[fn.label], a_hat_error[fn.label] = _certified(
-                a_h(fn, fn, H, quad_config))
+                a_h(fn, fn, H))
 
     F, L, _ = _simulate(config, fs, slope=False)
     ns = config.n_ladder
@@ -531,7 +534,7 @@ def derivative_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("derivative_experiment needs at least two scales "
                          "in n_ladder")
     fs = config.functions()
-    _check_regime_functions(config, fs, 1.0 + 1.0)  # weight 1+nu with nu=1
+    require_xi(fs, 1.0 + 1.0, " below the critical point")  # 1+nu, nu=1
     mom = [moments(fn) for fn in fs]
 
     F, L, Lp = _simulate(config, fs, slope=True)
@@ -618,9 +621,17 @@ def _json_records(per_path: PerPath) -> Iterator[str]:
     return _record_blocks(per_path, fields, template, _JSON_NONFINITE, ",")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` quoted as ``csv.QUOTE_MINIMAL`` does (labels hold commas)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_lines(per_path: PerPath, value_key: str) -> Iterator[str]:
     def template(label, n, t):
-        return "%s," + f"{label},{n},{t!r}".replace("%", "%%") + ",%s,%s"
+        fixed = f"{_csv_field(label)},{n},{t!r}"
+        return "%s," + fixed.replace("%", "%%") + ",%s,%s"
     return _record_blocks(per_path, ("path", value_key, "L"), template, {},
                           "\n")
 

@@ -1,15 +1,14 @@
 """Limit constants of the compensated additive functionals.
 
-``a_h`` evaluates the asymptotic-variance bilinear form for H > 1/3 as a
-Gauss-Hermite x tensor Gauss-Legendre quadrature of the double-time-scale
-integral, whose Gaussian variance calls the closed-form ``beta3`` on the
-node arrays; ``a_one_third`` evaluates the critical-case product formula; and
-``covariance_matrix`` assembles the limit covariance of a vector of test
-functions together with its PSD square root.
-
-Above the critical point one kernel, ``_a_h_tensor``, walks the time-scale
-nodes in chunks for a list of function pairs: a whole matrix is one pass per
-tensor order with one Fourier profile per function, and ``a_h`` is one pair.
+The constants are pure functions of H and f, so every quadrature has fixed
+orders.  ``a_h`` evaluates the double-time-scale form for H > 1/3 (Hu,
+Nualart and Xu, Ann. Probab. 2014) by 48-node Gauss-Hermite x tensor
+Gauss-Legendre quadrature at 64 and 128 nodes per axis, the change between
+them being its error estimate; ``a_one_third`` is m1(f) m1(g) times one
+number per convention; ``covariance_matrix`` assembles the limit covariance
+of a vector of test functions and its PSD square root.  One kernel,
+``_a_h_tensor``, serves a whole matrix: one node-chunked pass per tensor
+order with one Fourier profile per function (``a_h`` is one pair).
 
 Normalization notes (validated against exact second-moment quadrature of
 the functionals, and against the classical Brownian constant 4*int F^2 at
@@ -22,9 +21,10 @@ H = 1/2):
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -32,7 +32,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .constants import beta1, beta2, beta3, regime_of, Regime
 from .gaussian import psd_sqrt
-from .testfuncs import TestFunction, fourier, in_xi, moments
+from .testfuncs import TestFunction, fourier, moments, require_xi
 
 __all__ = ["QuadConfig", "QuadResult", "b_eta", "a_h", "a_one_third",
            "LimitMatrix", "covariance_matrix"]
@@ -40,22 +40,13 @@ __all__ = ["QuadConfig", "QuadResult", "b_eta", "a_h", "a_one_third",
 
 @dataclass(frozen=True)
 class QuadConfig:
+    """``rtol``: the accuracy target the benchmark checks matrices against."""
     rtol: float = 1e-4
-    gh_order: int = 48          # Gauss-Hermite nodes for the frequency integral
-    gl_order: int = 64          # base tensor order on the time-scale square
-    s_max: Optional[float] = None   # truncate the time-scale integrals (diagnostics)
 
 
 class QuadResult(NamedTuple):
     value: float
     error: float
-
-
-def _require_xi(fns, w: float, why: str = "") -> None:
-    for fn in fns:
-        if not in_xi(fn, w):
-            raise ValueError(f"{fn.label} fails the weight-{w:g} "
-                             f"integrability requirement{why}")
 
 
 def b_eta(f: TestFunction, g: TestFunction, eta: float,
@@ -67,7 +58,7 @@ def b_eta(f: TestFunction, g: TestFunction, eta: float,
     returned for auditability; that variant is negative on the diagonal and
     cannot be a variance kernel.
     """
-    _require_xi((f, g), 1.0)
+    require_xi((f, g), 1.0)
     F = fourier(f, eta) - fourier(f, 0.0)
     G = fourier(g, eta) - fourier(g, 0.0)
     out = F * np.conj(G)
@@ -104,29 +95,27 @@ class _FourierProfile:
         return out - self._m0
 
 
-#: time-scale nodes per chunk of the a_h kernel (x gh_order values per profile)
+#: Gauss-Hermite nodes of the frequency integral
+_GH_ORDER = 48
+#: Gauss-Legendre nodes per time-scale axis: coarse, then fine (the value)
+_GL_ORDERS = (64, 128)
+#: time-scale nodes per chunk of the a_h kernel (x _GH_ORDER values each)
 _CHUNK_NODES = 2 ** 10
 
 
 def _a_h_tensor(profiles: Sequence[_FourierProfile], pairs, H: float,
-                order: int, cfg: QuadConfig) -> np.ndarray:
+                order: int) -> np.ndarray:
     """The a_h kernel at tensor order ``order``: the form of ``profiles[i]``
     and ``profiles[j]`` for each (i, j) in ``pairs``."""
-    b1 = beta1(H)
-    b2 = beta2(H)
+    b1, b2 = beta1(H), beta2(H)
     p = 1.0 / (H + 0.5)
-    y, wy = np.polynomial.hermite.hermgauss(cfg.gh_order)
+    y, wy = np.polynomial.hermite.hermgauss(_GH_ORDER)
 
+    # s = (u / (1 - u))^p maps the unit interval onto the half line
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    if cfg.s_max is None:
-        u = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights / (1.0 - u) ** 2
-        v = u / (1.0 - u)
-    else:
-        vmax = cfg.s_max ** (1.0 / p)
-        v = 0.5 * vmax * (nodes + 1.0)
-        w = 0.5 * vmax * weights
-    s = v ** p
+    u = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights / (1.0 - u) ** 2
+    s = (u / (1.0 - u)) ** p
 
     S1, S2 = np.meshgrid(s, s, indexing="ij")
     V = b2 * (S1 ** (2 * H) + S2 ** (2 * H)) + beta3(H, S1, S2)
@@ -148,68 +137,63 @@ def _a_h_tensor(profiles: Sequence[_FourierProfile], pairs, H: float,
     return b1 * b1 / (2.0 * math.pi) * p * p * total
 
 
-def _a_h_refined(fs: Sequence[TestFunction], pairs, H: float, cfg: QuadConfig):
-    """a_h of each pair at twice the base order, and its change from the
-    base order as the error estimate."""
-    _require_xi(fs, 1.0)
+def _a_h_refined(fs: Sequence[TestFunction], pairs, H: float):
+    """a_h of each pair at the fine order, and its change from the coarse
+    order as the error estimate."""
+    require_xi(fs, 1.0)
     profiles = [_FourierProfile(fn) for fn in fs]
-    coarse = _a_h_tensor(profiles, pairs, H, cfg.gl_order, cfg)
-    fine = _a_h_tensor(profiles, pairs, H, 2 * cfg.gl_order, cfg)
+    coarse, fine = (_a_h_tensor(profiles, pairs, H, order)
+                    for order in _GL_ORDERS)
     return fine, np.abs(fine - coarse)
 
 
-def a_h(f: TestFunction, g: TestFunction, H: float,
-        config: Optional[QuadConfig] = None) -> QuadResult:
+def a_h(f: TestFunction, g: TestFunction, H: float) -> QuadResult:
     """Asymptotic-variance bilinear form for H > 1/3, with an error estimate
     from one tensor-order refinement: the kernel's one-pair call."""
     if regime_of(H) is not Regime.SUPERCRITICAL:
         raise ValueError("the double-time-scale integral diverges for "
                          "H <= 1/3; use a_one_third at the critical point")
     fs = [f] if f is g else [f, g]
-    value, err = _a_h_refined(fs, [(0, len(fs) - 1)], H,
-                              config or QuadConfig())
+    value, err = _a_h_refined(fs, [(0, len(fs) - 1)], H)
     return QuadResult(float(value[0]), float(err[0]))
+
+
+@functools.cache
+def _printed_profile_integral() -> float:
+    """int_0^1 (beta2 (1 + s^{2/3}) + beta3(1/3, s, 1) / (1/3 - 1/2)^2)^{-5/2}
+    ds to relative tolerance 1e-8, once per process."""
+    H = 1.0 / 3.0
+    b2, b3_scale = beta2(H), (H - 0.5) ** -2
+
+    # s = u^6 removes the s^(-1/6) endpoint singularity
+    def integrand(u):
+        return 6.0 * u ** 4 * (b2 * (1.0 + u ** 4)
+                               + b3_scale * beta3(H, u ** 6, 1.0)) ** -2.5
+
+    return integrate.quad(integrand, 0.0, 1.0, epsrel=1e-8, limit=200)[0]
 
 
 def a_one_third(f: TestFunction, g: TestFunction,
                 convention: str = "printed") -> float:
-    """Critical-case constant: product of the first moments with a
-    one-dimensional integral over the time-scale ratio s of
-    (beta2 (1 + s^{2/3}) + beta3(1/3, s, 1))^{-5/2}, to relative tolerance
-    1e-8.
+    """Critical-case constant: m1(f) m1(g) times one number per convention.
 
-    Two conventions are exposed:
-
-    * ``printed`` (default): the displayed product formula, prefactor
-      6/sqrt(pi) with beta3 carrying its displayed |H-1/2|^-2 factor.
-      Desk-scale slope estimates sit near this value (the critical case
+    * ``printed`` (default): the displayed formula, 6/sqrt(pi) beta1^2 times
+      the profile integral with beta3 carrying its |H-1/2|^-2 factor (about
+      0.5408).  Desk-scale slope estimates sit near it (the critical case
       approaches its limit only logarithmically).
-    * ``asymptotic``: the true n -> infinity variance slope, which exact
-      second-moment quadrature pins at sqrt(2/pi) * m1(f) * m1(g); it equals
-      the printed structure with the covariance-consistent beta3 and a
+    * ``asymptotic``: the true n -> infinity slope sqrt(2/pi), which exact
+      second-moment quadrature pins, in closed form; the tests integrate it
+      as the printed structure with the covariance-consistent beta3 and a
       1/sqrt(2) adjustment.
     """
-    _require_xi((f, g), 2.0, " (needed at the critical point)")
-    H = 1.0 / 3.0
-    b1 = beta1(H)
-    b2 = beta2(H)
+    require_xi((f, g), 2.0, " (needed at the critical point)")
     if convention == "printed":
-        prefactor = 6.0 / math.sqrt(math.pi)
-        b3_scale = (H - 0.5) ** -2
-    elif convention == "asymptotic":
-        prefactor = 3.0 * math.sqrt(2.0) / math.sqrt(math.pi)
-        b3_scale = 1.0
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-
-    # s = u^6 removes the s^(-1/6) endpoint singularity
-    def integrand(u):
-        s = u ** 6
-        return 6.0 * u ** 4 * (b2 * (1.0 + u ** 4)
-                               + b3_scale * beta3(H, s, 1.0)) ** -2.5
-
-    I, _ = integrate.quad(integrand, 0.0, 1.0, epsrel=1e-8, limit=200)
-    return prefactor * b1 * b1 * moments(f)[1] * moments(g)[1] * I
+        b1 = beta1(1.0 / 3.0)
+        return (6.0 / math.sqrt(math.pi) * b1 * b1 * moments(f)[1]
+                * moments(g)[1] * _printed_profile_integral())
+    if convention == "asymptotic":
+        return math.sqrt(2.0 / math.pi) * moments(f)[1] * moments(g)[1]
+    raise ValueError(f"unknown convention {convention!r}")
 
 
 @dataclass(frozen=True)
@@ -233,8 +217,7 @@ class LimitMatrix:
             raise ValueError("sqrt_matrix^2 does not reproduce the matrix")
 
 
-def covariance_matrix(fs: Sequence[TestFunction], H: float,
-                      config: Optional[QuadConfig] = None) -> LimitMatrix:
+def covariance_matrix(fs: Sequence[TestFunction], H: float) -> LimitMatrix:
     """Fill the d x d limit covariance (above the critical point one
     kernel pass per order over the upper triangle, each entry ``a_h`` of its
     pair; at it the product formula entrywise), clamp the tolerated
@@ -252,7 +235,7 @@ def covariance_matrix(fs: Sequence[TestFunction], H: float,
     if reg is Regime.CRITICAL:
         entries, errs = [a_one_third(fs[i], fs[j]) for i, j in upper], 0.0
     else:
-        entries, errs = _a_h_refined(fs, upper, H, config or QuadConfig())
+        entries, errs = _a_h_refined(fs, upper, H)
     mat, err = np.zeros((2, d, d))
     mat[iu], err[iu] = entries, errs
     mat[iu[::-1]], err[iu[::-1]] = entries, errs

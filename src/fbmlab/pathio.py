@@ -50,6 +50,8 @@ def read_paths(filename: str, T: float = 1.0) -> list[FbmPath]:
             raise ValueError(f"{filename}: not a path container (bad magic)")
         if version != _VERSION:
             raise ValueError(f"{filename}: unsupported version {version}")
+        if count == 0:
+            raise ValueError(f"{filename}: the container holds no path")
         body = np.frombuffer(fh.read(), dtype="<f8")
     expected = count * (N + 1)
     if body.size != expected:

@@ -7,7 +7,7 @@ import math
 import os
 from typing import Sequence
 
-from .experiments import ExperimentReport
+from .experiments import ExperimentReport, _csv_field
 
 __all__ = ["series_csv", "svg_line_chart", "emit_report_plots"]
 
@@ -15,7 +15,7 @@ __all__ = ["series_csv", "svg_line_chart", "emit_report_plots"]
 def series_csv(x_name: str, xs: Sequence[float],
                columns: dict[str, Sequence[float]]) -> str:
     names = sorted(columns)
-    lines = [",".join([x_name] + names)]
+    lines = [",".join(map(_csv_field, [x_name] + names))]
     for i, x in enumerate(xs):
         lines.append(",".join([repr(float(x))]
                               + [repr(float(columns[n][i])) for n in names]))
@@ -136,15 +136,11 @@ def emit_report_plots(report: ExperimentReport, out_dir: str) -> list[str]:
         written.extend([csv_path, svg_path])
 
     if report.kind == "clt":
-        agg = report.aggregates
-        emit("cf_distance",
-             {lbl: [agg["cf_distance"][lbl][str(int(n))][t_last] for n in ns]
-              for lbl in agg["cf_distance"]},
-             "max characteristic-function gap", False)
-        emit("slope_Z2_on_L",
-             {lbl: [agg["slope_Z2_on_L"][lbl][str(int(n))][t_last] for n in ns]
-              for lbl in agg["slope_Z2_on_L"]},
-             "Z^2-on-L slope", False)
+        for stem, y_label in (("cf_distance", "max characteristic-function gap"),
+                              ("slope_Z2_on_L", "Z^2-on-L slope")):
+            agg = report.aggregates[stem]
+            emit(stem, {lbl: [agg[lbl][str(int(n))][t_last] for n in ns]
+                        for lbl in agg}, y_label, False)
     else:
         agg = report.aggregates["l2_error"]
         emit("l2_error",

@@ -15,9 +15,9 @@ import numpy as np
 from scipy import integrate
 
 __all__ = [
-    "TestFunction", "weighted_norm", "in_xi", "moments", "fourier",
-    "gaussian_bump", "gaussian_derivative", "indicator", "hat", "poly_bump",
-    "from_spec", "BUILTINS",
+    "TestFunction", "weighted_norm", "in_xi", "require_xi", "moments",
+    "fourier", "gaussian_bump", "gaussian_derivative", "indicator", "hat",
+    "poly_bump", "from_spec", "BUILTINS",
 ]
 
 
@@ -88,13 +88,19 @@ def in_xi(f: TestFunction, w: float) -> bool:
     return math.isfinite(weighted_norm(f, w))
 
 
+def require_xi(fns, w: float, why: str = "") -> None:
+    """Raise ``ValueError`` for the first of ``fns`` outside the class."""
+    for fn in fns:
+        if not in_xi(fn, w):
+            raise ValueError(f"{fn.label} fails the weight-{w:g} "
+                             f"integrability requirement{why}")
+
+
 def moments(f: TestFunction) -> tuple[float, float]:
     """(int f, int x f).  Requires integrability against the weight 1+|x|."""
     if f.closed_form_moments is not None:
         return f.closed_form_moments
-    if not in_xi(f, 1.0):
-        raise ValueError(f"moments undefined: {f.label} fails the weight-1 "
-                         "integrability check")
+    require_xi((f,), 1.0, " (moments undefined)")
     a, b = _integration_window(f)
     m0, _ = integrate.quad(f, a, b, limit=200)
     m1, _ = integrate.quad(lambda x: x * f(x), a, b, limit=200)

@@ -7,6 +7,8 @@ the variance-form oracle is a brute-force tensor-grid trapezoid rule.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -278,8 +280,8 @@ def oracle_records(report) -> list[dict]:
 
 def oracle_serialize_report(report, fmt: str = "json") -> bytes:
     """The report bytes as ``json.dumps`` writes the dict records (JSON),
-    or one line per record with the statistic found by probing the first
-    record (CSV)."""
+    or as ``csv.writer`` writes one row per record, with the statistic found
+    by probing the first record (CSV)."""
     records = oracle_records(report)
     if fmt == "json":
         payload = {
@@ -294,8 +296,10 @@ def oracle_serialize_report(report, fmt: str = "json") -> bytes:
     if not records:
         return b"path,f,n,t,value,L\n"
     val_key = "Z" if "Z" in records[0] else "e"
-    lines = ["path,f,n,t,value,L"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["path", "f", "n", "t", "value", "L"])
     for rec in records:
-        lines.append(",".join([str(rec[k]) for k in ("path", "f", "n", "t")]
-                              + [repr(rec[val_key]), repr(rec["L"])]))
-    return ("\n".join(lines) + "\n").encode()
+        writer.writerow([rec[k] for k in ("path", "f", "n", "t", val_key,
+                                          "L")])
+    return buf.getvalue().encode()

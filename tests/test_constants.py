@@ -12,8 +12,11 @@ import oracles
 # pinned against the hand-rolled Lanczos gamma oracle (see oracles.py)
 C_H_075 = 0.2674111587579976
 C_H_025 = 0.645998003740752
-# pinned against the log-substituted Romberg oracle with analytic tail
-BETA3_06_1_0 = 0.03517736976811707
+# exact: c_H^2/(H-1/2)^2 (2P-1)/(2H) at H = 0.6, with
+# P = Gamma(1-H) Gamma(H+1/2)/(4^H sqrt(pi)), evaluated in mpmath at 40
+# digits; the earlier Romberg-oracle pin 0.03517736976811707 was 6.3e-12
+# relative above it
+BETA3_06_1_0 = 0.035177369767896427
 
 
 class TestCH:
@@ -107,7 +110,7 @@ class TestBeta3:
 
     def test_pinned_regression_value(self):
         assert cst.beta3(0.6, 1.0, 0.0) == pytest.approx(BETA3_06_1_0,
-                                                         rel=1e-8)
+                                                         rel=1e-13)
 
     def test_matches_brute_force_oracle(self):
         for H, s1, s2 in ((0.7, 2.0, 0.5), (0.4, 2.0, 1.0), (1 / 3, 0.5, 1.0),

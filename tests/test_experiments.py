@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -244,8 +246,8 @@ class TestCltExperiment:
 
     def test_csv_serialization(self):
         rep = exp.clt_experiment(small_config())
-        csv = exp.serialize_report(rep, fmt="csv").decode()
-        lines = csv.strip().split("\n")
+        text = exp.serialize_report(rep, fmt="csv").decode()
+        lines = text.strip().split("\n")
         assert lines[0] == "path,f,n,t,value,L"
         assert len(lines) == 1 + len(rep.per_path)
 
@@ -303,6 +305,28 @@ class TestCltExperiment:
                                              rec["n"], rec["t"],
                                              eps_policy="n2h")
             assert abs(rec["Z"] - z) <= 1e-12, rec
+
+
+# finite mass, but no finite weight-1 norm: outside every class the
+# experiments need
+CAUCHY = tf.TestFunction(lambda x: 1.0 / (1.0 + x * x), "cauchy",
+                         xi_declared=0.0)
+
+
+@pytest.mark.parametrize("run, H", [
+    (exp.clt_experiment, 0.6), (exp.clt_experiment, 1.0 / 3.0),
+    (exp.derivative_experiment, 0.25)],
+    ids=["clt-supercritical", "clt-critical", "derivative"])
+def test_non_integrable_function_rejected_before_sampling(monkeypatch, run,
+                                                          H):
+    def no_sampling(*args, **kw):
+        raise AssertionError("drew paths for a non-integrable function")
+
+    monkeypatch.setattr(exp, "sample_values", no_sampling)
+    monkeypatch.setattr(exp.ExperimentConfig, "functions",
+                        lambda self: [CAUCHY])
+    with pytest.raises(ValueError, match="cauchy fails the weight"):
+        run(small_config(H=H))
 
 
 class TestDerivativeExperiment:
@@ -484,8 +508,20 @@ class TestPerPathColumns:
         text = exp.serialize_report(rep).decode()
         assert text.endswith('"per_path":' + json.dumps(
             list(odd), sort_keys=True, separators=(",", ":")) + "}\n")
-        first = exp.serialize_report(rep, "csv").decode().split("\n")[1]
-        assert first.split(",")[:4] == ["0", label, "4", "0.5"]
+        text = exp.serialize_report(rep, "csv").decode()
+        first = list(csv.reader(io.StringIO(text)))[1]
+        assert first[:4] == ["0", label, "4", "0.5"]
+
+    def test_csv_quotes_labels_with_commas(self):
+        rep = exp.derivative_experiment(exp.ExperimentConfig(
+            H=0.25, f=("hat:a=-1,b=1", "gaussian_derivative:sigma=1"),
+            n_ladder=(4, 8), path_count=2, grid_per_unit=64, seed=0))
+        header, *rows = csv.reader(io.StringIO(
+            exp.serialize_report(rep, "csv").decode()))
+        assert len(rows) == len(rep.per_path)
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[1] for row in rows] == [
+            "hat(a=-1,b=1)"] * 4 + ["gaussian_derivative(sigma=1)"] * 4
 
     def test_reordered_records_rejected(self, report):
         payload = json.loads(exp.serialize_report(report))

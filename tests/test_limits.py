@@ -120,18 +120,6 @@ class TestAH:
         with pytest.raises(ValueError):
             limits.a_h(GD, GD, 0.25)
 
-    def test_truncation_diagnostic_grows_near_critical(self):
-        # just above the critical point the time-scale integral grows with
-        # the truncation radius (the logarithmic blow-up the (log n)^(-1/2)
-        # normalizer compensates); logged, not thresholded
-        H = 1.0 / 3.0 + 1e-3
-        vals = [limits.a_h(GD, GD, H,
-                           limits.QuadConfig(s_max=s)).value
-                for s in (10.0, 100.0, 1000.0)]
-        assert vals[0] < vals[1] < vals[2]
-        print(f"\nnear-critical truncation growth at H=1/3+1e-3: "
-              f"{[round(v, 4) for v in vals]}")
-
 
 class TestAOneThird:
     def test_zero_first_moment_kills_it(self):
@@ -151,12 +139,38 @@ class TestAOneThird:
             pytest.approx(A13_ASYMPTOTIC, rel=5e-3)
 
     def test_asymptotic_equals_closed_form(self):
-        # sqrt(2/pi) * m1(f) m1(g), exactly, for any admissible pair
+        # the closed form sqrt(2/pi) m1(f) m1(g) against the profile
+        # integral with the covariance-consistent beta3:
+        # 3 sqrt(2)/sqrt(pi) beta1^2
+        #   * int_0^1 6u^4 (beta2 (1+u^4) + beta3(1/3, u^6, 1))^(-5/2) du
+        H = 1.0 / 3.0
+        b1, b2 = cst.beta1(H), cst.beta2(H)
+        integral, _ = integrate.quad(
+            lambda u: 6.0 * u ** 4 * (b2 * (1.0 + u ** 4)
+                                      + cst.beta3(H, u ** 6, 1.0)) ** -2.5,
+            0.0, 1.0, epsrel=1e-10, limit=200)
+        profile = 3.0 * math.sqrt(2.0) / math.sqrt(math.pi) * b1 * b1 \
+            * integral
         for f, g in ((GD, GD), (GD, tf.gaussian_bump(1.0, 0.5))):
             m1f = tf.moments(f)[1]
             m1g = tf.moments(g)[1]
             assert limits.a_one_third(f, g, convention="asymptotic") == \
-                pytest.approx(math.sqrt(2 / math.pi) * m1f * m1g, rel=1e-12)
+                pytest.approx(profile * m1f * m1g, rel=1e-12)
+
+    def test_printed_integral_runs_once(self, monkeypatch):
+        limits.a_one_third(GD, GD)
+        calls = []
+        beta3 = limits.beta3
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return beta3(*args, **kwargs)
+
+        monkeypatch.setattr(limits, "beta3", counting)
+        f, g = GD, tf.gaussian_bump(1.0, 0.5)
+        assert limits.a_one_third(f, g) == pytest.approx(
+            A13_PRINTED * tf.moments(f)[1] * tf.moments(g)[1], rel=5e-3)
+        assert calls == []
 
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
@@ -206,11 +220,11 @@ class TestKernel:
         assert peak <= 16 * 2 ** 20
 
     def test_chunking_changes_no_value(self, monkeypatch):
-        # 40^2 and 80^2 nodes leave a partial last chunk
-        cfg = limits.QuadConfig(gl_order=40)
-        chunked = limits.covariance_matrix([GD, tf.hat()], 0.7, cfg)
+        # 64^2 and 128^2 nodes leave partial last chunks of 96 and 384
+        monkeypatch.setattr(limits, "_CHUNK_NODES", 1000)
+        chunked = limits.covariance_matrix([GD, tf.hat()], 0.7)
         monkeypatch.setattr(limits, "_CHUNK_NODES", 10 ** 6)
-        whole = limits.covariance_matrix([GD, tf.hat()], 0.7, cfg)
+        whole = limits.covariance_matrix([GD, tf.hat()], 0.7)
         assert np.array_equal(chunked.matrix, whole.matrix)
         assert np.array_equal(chunked.quadrature_report,
                               whole.quadrature_report)

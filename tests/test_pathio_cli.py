@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import struct
@@ -196,14 +197,13 @@ class TestCli:
         assert sorted(os.listdir(plots)) == ["l2_error.csv", "l2_error.svg"]
         svg = Path(os.path.join(plots, "l2_error.svg")).read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
-        header, *rows = Path(os.path.join(plots, "l2_error.csv")) \
-            .read_text().splitlines()
+        with open(os.path.join(plots, "l2_error.csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
         l2 = rep.aggregates["l2_error"]
         t_last = str(float(rep.config.t_list[-1]))
-        assert header == ",".join(["n"] + sorted(l2))
+        assert header == ["n"] + sorted(l2)
         assert len(rows) == len(rep.config.n_ladder)
-        for row, n in zip(rows, rep.config.n_ladder):
-            cells = row.split(",")
+        for cells, n in zip(rows, rep.config.n_ladder):
             assert len(cells) == 1 + len(l2)
             assert float(cells[0]) == n
             for label, cell in zip(sorted(l2), cells[1:]):
@@ -225,6 +225,28 @@ class TestCli:
         cfg_file = str(tmp_path / "exp.json")
         Path(cfg_file).write_text(json.dumps(cfg))
         assert cli.main(["clt-experiment", "--config", cfg_file]) == 2
+
+    @pytest.mark.parametrize("command, content, names", [
+        ("clt-experiment", b'{"H": 0.6, "bogus": 1}', "'bogus'"),
+        ("clt-experiment", b"[1, 2]", "JSON object"),
+        ("clt-experiment", b'{"H": 0.6, "path_count": "3"}', "str"),
+        ("localtime", struct.pack("<4sIdIIQ", b"FBMP", 1, 0.6, 8, 0, 0),
+         "no path"),
+    ], ids=["unknown-key", "list", "wrong-type", "empty-container"])
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
+                                                 command, content, names):
+        fn = tmp_path / "input"
+        fn.write_bytes(content)
+        if command == "localtime":
+            argv = [command, "--in", str(fn), "--lambda", "0",
+                    "--out", str(tmp_path / "lt.csv")]
+        else:
+            argv = [command, "--config", str(fn), "--threads", "2",
+                    "--out", str(tmp_path / "rep.json")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert names in err
 
     def test_missing_input_file(self):
         assert cli.main(["localtime", "--in", "/nonexistent.fbmp",
