@@ -88,8 +88,9 @@ def _cmd_localtime(args) -> int:
             curves.append(localtime.mollified_local_time(p, args.lam, eps,
                                                          kind=args.kind))
         else:
-            xi_max = args.xi_max if args.xi_max else 2.0 / np.sqrt(eps)
-            d_xi = args.d_xi if args.d_xi else xi_max / 2048.0
+            xi_max = (args.xi_max if args.xi_max is not None
+                      else 2.0 / np.sqrt(eps))
+            d_xi = args.d_xi if args.d_xi is not None else xi_max / 2048.0
             curves.append(localtime.fourier_local_time(p, args.lam, xi_max,
                                                        d_xi, kind=args.kind))
     with open(args.out, "w") as fh:
@@ -199,7 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["mollified", "fourier"])
     lt.add_argument("--kind", default="level", choices=["level", "derivative"])
     lt.add_argument("--xi-max", type=float, help="fourier cutoff")
-    lt.add_argument("--d-xi", type=float, help="fourier grid step")
+    lt.add_argument("--d-xi", type=float,
+                    help="fourier grid step; O(N) cost for any number of "
+                         "frequencies; once max|B-lambda|*d_xi >= pi the "
+                         "levels lambda + j*2pi/d_xi fold in with sign (-1)^j")
     lt.add_argument("--out", required=True)
     lt.set_defaults(func=_cmd_localtime)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +77,14 @@ def _epsilon(policy: str, dt: float, H: float, n: int) -> float:
     raise ValueError(f"unknown eps policy {policy!r}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as ``operator.index`` takes it, a bool excepted."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got "
+                     f"{type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     H: float
@@ -98,7 +107,10 @@ class ExperimentConfig:
             object.__setattr__(self, "f", (self.f,))
         object.__setattr__(self, "f", tuple(self.f))
         object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
-        object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
+        object.__setattr__(self, "n_ladder", tuple(
+            _integer("an n_ladder entry", n) for n in self.n_ladder))
+        for name in ("seed", "path_count", "batch_size", "threads"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not self.n_ladder:
             raise ValueError("n_ladder must name at least one scale")
         if any(b >= a for a, b in zip(self.n_ladder[1:], self.n_ladder)):
@@ -628,12 +640,11 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_lines(per_path: PerPath, value_key: str) -> Iterator[str]:
+def _csv_lines(per_path: PerPath, keys) -> Iterator[str]:
     def template(label, n, t):
         fixed = f"{_csv_field(label)},{n},{t!r}"
-        return "%s," + fixed.replace("%", "%%") + ",%s,%s"
-    return _record_blocks(per_path, ("path", value_key, "L"), template, {},
-                          "\n")
+        return "%s," + fixed.replace("%", "%%") + ",%s" * len(keys)
+    return _record_blocks(per_path, ("path", *keys), template, {}, "\n")
 
 
 def serialize_report(report: ExperimentReport, fmt: str = "json") -> bytes:
@@ -651,8 +662,9 @@ def serialize_report(report: ExperimentReport, fmt: str = "json") -> bytes:
         return b"".join([head[:-1].encode(), b',"per_path":[',
                          b",".join(blocks), b"]}\n"])
     if fmt == "csv":
-        lines = ["path,f,n,t,value,L",
-                 *_csv_lines(report.per_path, _COLUMNS[report.kind][0])]
+        keys = _COLUMNS[report.kind]
+        lines = [",".join(["path,f,n,t,value", *keys[1:]]),
+                 *_csv_lines(report.per_path, keys)]
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -159,6 +159,8 @@ class FbmPath:
 
     def __post_init__(self):
         _check_h(self.H)
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.values.shape != (self.N + 1,):
@@ -232,8 +234,8 @@ def _check_request(H: float, T: float, N: int, count: int, method: str):
         raise ValueError("count must be >= 1")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "cholesky" and N > CHOLESKY_MAX_N:

@@ -22,7 +22,6 @@ import numpy as np
 from scipy import integrate
 
 from .constants import Regime, _check_h, regime_of
-from .errors import CostGuardError
 from .fbm import FbmPath
 from .testfuncs import TestFunction
 
@@ -31,11 +30,8 @@ __all__ = [
     "mollified_local_time", "fourier_local_time", "occupation_integral",
     "occupation_density_check", "expected_local_time",
     "expected_mollified_local_time",
-    "DivergentEstimatorWarning", "FOURIER_COST_GUARD",
+    "DivergentEstimatorWarning",
 ]
-
-#: refuse Fourier grids with more than this many nodes
-FOURIER_COST_GUARD = 1e7
 
 
 class DivergentEstimatorWarning(UserWarning):
@@ -76,7 +72,6 @@ class LocalTimeCurve:
     param: float              # eps (mollified) or xi_max (fourier)
     values: np.ndarray
     d_xi: Optional[float] = None
-    imag_residue: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("level", "derivative"):
@@ -106,7 +101,7 @@ def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
 
 def _dirichlet_sum(y: np.ndarray, m: int, d: float, kind: str) -> np.ndarray:
     """sum over xi_k = (k+1/2) d, k < m, of 2 cos(xi_k y) (level) or
-    -2 xi_k sin(xi_k y) (derivative), in closed form."""
+    -2 xi_k sin(xi_k y) (derivative), in closed form for |y| d <= pi."""
     cut = m * d
     den = 2.0 * np.sin(0.5 * d * y)
     small = np.abs(cut * y) < 1e-5
@@ -146,46 +141,32 @@ def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
     The level weight is 1/(2 pi); the derivative weight -i xi/(2 pi) is the
     one that reproduces the mollified derivative estimator as the cutoff
     grows (both estimators integrate the same heat-kernel derivative in the
-    bandwidth -> 0 limit)."""
-    if xi_max <= 0 or d_xi <= 0:
-        raise ValueError("xi_max and d_xi must be positive")
+    bandwidth -> 0 limit).
+
+    The midpoint sum is antiperiodic in y = B - lam, S(y + 2 pi/d_xi) =
+    -S(y), and is taken in closed form at y reduced modulo 2 pi/d_xi, at
+    O(N) cost for any number of frequencies: once max|B - lam| d_xi >= pi
+    the estimate folds in the levels lam + j 2 pi/d_xi with sign (-1)^j."""
+    if not (0 < xi_max < math.inf and 0 < d_xi < math.inf
+            and xi_max / d_xi < math.inf):
+        raise ValueError("xi_max, d_xi and their ratio must be positive and "
+                         "finite")
     m_half = int(round(xi_max / d_xi))
     if m_half < 1:
         raise ValueError("d_xi exceeds xi_max")
-    if 2 * m_half > FOURIER_COST_GUARD:
-        raise CostGuardError(f"xi grid of {2*m_half} nodes exceeds the cost "
-                             f"guard ({FOURIER_COST_GUARD:g})")
     if kind == "derivative" and regime_of(path.H) is not Regime.SUBCRITICAL:
         warnings.warn("derivative-kind local time diverges (as the cutoff "
                       "grows) for H >= 1/3", DivergentEstimatorWarning)
 
     x = path.values - lam
-    xi_cut = m_half * d_xi
-    if np.abs(x).max() * d_xi < 0.5 * math.pi:
-        # the symmetric midpoint sum collapses to a Dirichlet-type kernel:
-        #   sum_k 2 cos(xi_k y) = sin(m d y) / sin(d y / 2),  xi_k = (k+1/2) d
-        # valid while no y reaches the aliasing period 2 pi / d
-        acc = _dirichlet_sum(x, m_half, d_xi, kind)
-    else:
-        acc = np.zeros(path.N + 1)
-        xi_pos = (np.arange(m_half) + 0.5) * d_xi
-        chunk = max(1, int(2e6 // (path.N + 1)))
-        for start in range(0, m_half, chunk):
-            xi = xi_pos[start:start + chunk]
-            phase = xi[:, None] * x[None, :]
-            if kind == "level":
-                acc += 2.0 * np.sum(np.cos(phase), axis=0)
-            else:
-                # weight -i xi against e^{-i xi x}: pairs sum to -2 xi sin
-                acc += -2.0 * (xi @ np.sin(phase))
-    acc *= d_xi / (2.0 * math.pi)
-    values = _cumtrapz(acc, path.dt)
-    # the midpoint grid is exactly symmetric, so the imaginary part cancels
-    # identically here; keep the residue field for schema stability
+    period = 2.0 * math.pi / d_xi
+    j = np.round(x / period)
+    acc = _dirichlet_sum(x - j * period, m_half, d_xi, kind)
+    acc = np.where(j % 2 == 0, acc, -acc) * (d_xi / (2.0 * math.pi))
     return LocalTimeCurve(
         path_seed=path.seed, path_index=path.path_index, H=path.H, T=path.T,
         N=path.N, lam=lam, kind=kind, estimator="fourier", param=xi_max,
-        d_xi=d_xi, values=values, imag_residue=0.0)
+        d_xi=d_xi, values=_cumtrapz(acc, path.dt))
 
 
 def occupation_integral(path: FbmPath, f: TestFunction) -> float:

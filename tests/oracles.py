@@ -260,6 +260,19 @@ def oracle_circulant_paths(H: float, T: float, N: int, count: int,
                           axis=1)
 
 
+def oracle_fourier_sum(y, m: int, d: float, kind: str) -> np.ndarray:
+    """The symmetric midpoint frequency sum at xi_k = (k + 1/2) d, k < m,
+    term by term: sum_k 2 cos(xi_k y) (level) or -2 xi_k sin(xi_k y)
+    (derivative)."""
+    y = np.asarray(y, dtype=float)
+    acc = np.zeros(y.shape)
+    for k in range(m):
+        xi = (k + 0.5) * d
+        acc += (2.0 * np.cos(xi * y) if kind == "level"
+                else -2.0 * xi * np.sin(xi * y))
+    return acc
+
+
 def oracle_records(report) -> list[dict]:
     """The per-path records as the dict list the report stands for: every
     column broadcast to [f, n, t, path], the axes taken from the config,
@@ -280,8 +293,9 @@ def oracle_records(report) -> list[dict]:
 
 def oracle_serialize_report(report, fmt: str = "json") -> bytes:
     """The report bytes as ``json.dumps`` writes the dict records (JSON),
-    or as ``csv.writer`` writes one row per record, with the statistic found
-    by probing the first record (CSV)."""
+    or as ``csv.writer`` writes one row per record, with the statistic and
+    the local-time columns (``L``, and ``Lp`` for the derivative kind)
+    found by probing the first record (CSV)."""
     records = oracle_records(report)
     if fmt == "json":
         payload = {
@@ -293,13 +307,12 @@ def oracle_serialize_report(report, fmt: str = "json") -> bytes:
         }
         return (json.dumps(payload, sort_keys=True, separators=(",", ":"))
                 + "\n").encode()
-    if not records:
-        return b"path,f,n,t,value,L\n"
     val_key = "Z" if "Z" in records[0] else "e"
+    local = [k for k in ("L", "Lp") if k in records[0]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "f", "n", "t", "value", "L"])
+    writer.writerow(["path", "f", "n", "t", "value", *local])
     for rec in records:
         writer.writerow([rec[k] for k in ("path", "f", "n", "t", val_key,
-                                          "L")])
+                                          *local)])
     return buf.getvalue().encode()

@@ -115,6 +115,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least one scale"):
             small_config(n_ladder=())
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", "1"), ("path_count", 2.5),
+        ("batch_size", 16.0), ("threads", True), ("n_ladder", (4.7, 8)),
+        ("n_ladder", (4, 8.0)), ("n_ladder", (False, 8))])
+    def test_integer_field_rejected(self, field, value):
+        # a float seed or count used to fail in numpy after validation, and
+        # a float scale was truncated (4.7 ran n = 4)
+        with pytest.raises(ValueError, match="must be an integer"):
+            small_config(**{field: value})
+
 
 class TestFunctional:
     def test_zero_function(self):
@@ -522,6 +532,16 @@ class TestPerPathColumns:
         assert all(len(row) == len(header) for row in rows)
         assert [row[1] for row in rows] == [
             "hat(a=-1,b=1)"] * 4 + ["gaussian_derivative(sigma=1)"] * 4
+
+    def test_csv_carries_the_local_time_columns(self, report):
+        header, *rows = csv.reader(io.StringIO(
+            exp.serialize_report(report, "csv").decode()))
+        pp = report.per_path
+        local = ["L", "Lp"] if report.kind == "derivative" else ["L"]
+        assert header == ["path", "f", "n", "t", "value", *local]
+        for i, k in enumerate(local, start=5):
+            want = np.broadcast_to(pp.columns[k], pp.shape).ravel()
+            assert np.array_equal([float(r[i]) for r in rows], want)
 
     def test_reordered_records_rejected(self, report):
         payload = json.loads(exp.serialize_report(report))

@@ -7,7 +7,6 @@ import pytest
 from fbmlab import fbm
 from fbmlab import localtime as lt
 from fbmlab import testfuncs as tf
-from fbmlab.errors import CostGuardError
 
 import oracles
 
@@ -105,7 +104,6 @@ class TestFourierEstimator:
     def test_real_output_residue_zero(self):
         p = fbm.sample_paths(0.5, 1.0, 256, 1, seed=2)[0]
         curve = lt.fourier_local_time(p, 0.0, 50.0, 0.05)
-        assert curve.imag_residue == 0.0
         assert np.isfinite(curve.values).all()
 
     @pytest.mark.parametrize("H", [1.0 / 3.0, 0.6])
@@ -122,23 +120,43 @@ class TestFourierEstimator:
 
     @pytest.mark.parametrize("kind", ["level", "derivative"])
     def test_explicit_frequency_sum_matches_dirichlet(self, kind):
-        # max|B - lam| * d_xi in [pi/2, pi) takes the explicit frequency
-        # loop, while the Dirichlet closed form still holds there
-        p = fbm.sample_paths(0.25, 1.0, 256, 1, seed=4)[0]
+        # the range-reduced closed form against the explicit frequency sum,
+        # from a reach max|B - lam| * d_xi of 3pi/4 (no reduction) to 20pi,
+        # with samples placed on lam + j * 2pi/d_xi
+        base = fbm.sample_paths(0.25, 1.0, 256, 1, seed=4)[0]
         lam, m = 0.2, 40
-        x = p.values - lam
-        d_xi = 0.75 * math.pi / np.abs(x).max()
-        assert 0.5 * math.pi <= np.abs(x).max() * d_xi < math.pi
-        curve = lt.fourier_local_time(p, lam, m * d_xi, d_xi, kind=kind)
-        acc = lt._dirichlet_sum(x, m, d_xi, kind) * d_xi / (2.0 * math.pi)
-        want = lt._cumtrapz(acc, p.dt)
-        assert np.allclose(curve.values, want, rtol=0.0,
-                           atol=1e-12 * np.abs(want).max())
+        top = int(np.argmax(np.abs(base.values - lam)))
+        for reach in (0.75, 3.0, 7.3, 20.0):
+            d_xi = reach * math.pi / abs(base.values[top] - lam)
+            period = 2.0 * math.pi / d_xi
+            js = np.arange(-int(reach / 2), int(reach / 2) + 1)
+            idx = [i for i in range(1, 30) if i != top][:len(js)]
+            values = base.values.copy()
+            values[idx] = lam + js * period
+            p = fbm.FbmPath(H=0.25, T=1.0, N=256, values=values, seed=4,
+                            path_index=0, method="synthetic")
+            x = values - lam
+            assert np.abs(x).max() * d_xi == pytest.approx(reach * math.pi)
+            curve = lt.fourier_local_time(p, lam, m * d_xi, d_xi, kind=kind)
+            acc = oracles.oracle_fourier_sum(x, m, d_xi, kind)
+            want = lt._cumtrapz(acc * d_xi / (2.0 * math.pi), p.dt)
+            assert np.allclose(curve.values, want, rtol=0.0,
+                               atol=1e-12 * np.abs(want).max()), reach
 
-    def test_cost_guard(self):
+    def test_ten_billion_frequencies_in_closed_form(self):
+        # 2 * 10^10 frequencies cost O(N): the flat path's estimate is
+        # t * xi_max / pi
         p = flat_path(N=16)
-        with pytest.raises(CostGuardError):
-            lt.fourier_local_time(p, 0.0, 1e6, 1e-4)
+        curve = lt.fourier_local_time(p, 0.0, 1e6, 1e-4)
+        assert np.allclose(curve.values, p.times * 1e6 / math.pi,
+                           rtol=1e-12)
+
+    @pytest.mark.parametrize("xi_max, d_xi", [
+        (math.inf, 0.1), (10.0, math.inf), (math.nan, 0.1), (10.0, math.nan),
+        (1e300, 1e-10), (0.0, 0.1), (10.0, -0.1)])
+    def test_nonfinite_or_nonpositive_grid_rejected(self, xi_max, d_xi):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lt.fourier_local_time(flat_path(N=16), 0.0, xi_max, d_xi)
 
     def test_matches_mollified_cross_oracle(self):
         # mutual-oracle normalization check: the 100-path means agree within

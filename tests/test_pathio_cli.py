@@ -248,6 +248,27 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert names in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--estimator", "fourier", "--xi-max", "inf", "--d-xi", "0.1"],
+         "finite"),
+        (["--estimator", "fourier", "--xi-max", "0"], "positive"),
+        (["--estimator", "fourier", "--d-xi", "0"], "positive"),
+        (["--T", "-1"], "T must be positive"),
+        (["--T", "-1", "--eps", "0.01"], "T must be positive"),
+    ], ids=["xi-max-inf", "xi-max-zero", "d-xi-zero", "T-negative",
+            "T-negative-fixed-eps"])
+    def test_localtime_bad_grid_exits_2(self, tmp_path, capsys, extra,
+                                        message):
+        # an explicit 0 is refused, not replaced by the default
+        fn = str(tmp_path / "p.fbmp")
+        pathio.write_paths(fn, fbm.sample_paths(0.3, 1.0, 16, 1, seed=0))
+        out = tmp_path / "lt.csv"
+        assert cli.main(["localtime", "--in", fn, "--out", str(out),
+                         *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_missing_input_file(self):
         assert cli.main(["localtime", "--in", "/nonexistent.fbmp",
                          "--lambda", "0", "--out", "/tmp/x.csv"]) == 2
