@@ -8,7 +8,9 @@ them being its error estimate; ``a_one_third`` is m1(f) m1(g) times one
 number per convention; ``covariance_matrix`` assembles the limit covariance
 of a vector of test functions and its PSD square root.  One kernel,
 ``_a_h_tensor``, serves a whole matrix: one node-chunked pass per tensor
-order with one Fourier profile per function (``a_h`` is one pair).
+order with one Fourier profile per function (``a_h`` is one pair), taken
+from the function's closed-form transform; ``a_h`` and
+``covariance_matrix`` refuse a function without one.
 
 Normalization notes (validated against exact second-moment quadrature of
 the functionals, and against the classical Brownian constant 4*int F^2 at
@@ -28,7 +30,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from .constants import beta1, beta2, beta3, regime_of, Regime
 from .gaussian import psd_sqrt
@@ -66,33 +67,19 @@ def b_eta(f: TestFunction, g: TestFunction, eta: float,
 
 
 class _FourierProfile:
-    """Vectorized eta -> fhat(eta) - fhat(0) lookup for one test function.
-
-    Uses the closed form when present; otherwise a spline through a dense
-    sampled grid, with the Riemann-Lebesgue constant -fhat(0) beyond it.
-    """
+    """Vectorized eta -> fhat(eta) - fhat(0) for one test function, from its
+    closed-form transform; a function without one is refused."""
 
     def __init__(self, f: TestFunction):
-        self._f = f
-        self._m0 = complex(fourier(f, 0.0))
         if f.closed_form_fourier is None:
-            scale = max(f.scale_hint, 1e-6)
-            grid = np.concatenate([[0.0], np.geomspace(1e-4, 600.0 / scale, 1200)])
-            vals = fourier(f, grid)
-            self._grid = grid
-            self._spline_re = PchipInterpolator(grid, vals.real, extrapolate=False)
-            self._spline_im = PchipInterpolator(grid, vals.imag, extrapolate=False)
+            raise ValueError(f"{f.label} has no closed-form Fourier "
+                             "transform, which the a_h kernel needs")
+        self._ft = f.closed_form_fourier
+        self._m0 = complex(fourier(f, 0.0))
 
     def shifted(self, eta: np.ndarray) -> np.ndarray:
         """F(eta) = fhat(eta) - fhat(0), vectorized, conjugate-symmetric."""
-        if self._f.closed_form_fourier is not None:
-            return np.asarray(self._f.closed_form_fourier(eta)) - self._m0
-        a = np.abs(eta)
-        re = self._spline_re(np.minimum(a, self._grid[-1]))
-        im = self._spline_im(np.minimum(a, self._grid[-1]))
-        out = re + 1j * np.where(eta >= 0, im, -im)
-        out = np.where(a > self._grid[-1], 0.0, out)
-        return out - self._m0
+        return np.asarray(self._ft(eta)) - self._m0
 
 
 #: Gauss-Hermite nodes of the frequency integral

@@ -99,6 +99,11 @@ def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+#: most frequencies per side of the Fourier grid: k + 1/2 is exact in a
+#: double for every k below it
+_MAX_HALF_FREQUENCIES = 2 ** 52
+
+
 def _dirichlet_sum(y: np.ndarray, m: int, d: float, kind: str) -> np.ndarray:
     """sum over xi_k = (k+1/2) d, k < m, of 2 cos(xi_k y) (level) or
     -2 xi_k sin(xi_k y) (derivative), in closed form for |y| d <= pi."""
@@ -146,7 +151,8 @@ def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
     The midpoint sum is antiperiodic in y = B - lam, S(y + 2 pi/d_xi) =
     -S(y), and is taken in closed form at y reduced modulo 2 pi/d_xi, at
     O(N) cost for any number of frequencies: once max|B - lam| d_xi >= pi
-    the estimate folds in the levels lam + j 2 pi/d_xi with sign (-1)^j."""
+    the estimate folds in the levels lam + j 2 pi/d_xi with sign (-1)^j.
+    A grid of more than 2^52 frequencies per side is refused."""
     if not (0 < xi_max < math.inf and 0 < d_xi < math.inf
             and xi_max / d_xi < math.inf):
         raise ValueError("xi_max, d_xi and their ratio must be positive and "
@@ -154,6 +160,10 @@ def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
     m_half = int(round(xi_max / d_xi))
     if m_half < 1:
         raise ValueError("d_xi exceeds xi_max")
+    if m_half > _MAX_HALF_FREQUENCIES:
+        raise ValueError(f"xi_max / d_xi = {xi_max / d_xi:g} exceeds 2^52 "
+                         "frequencies per side, beyond which k + 1/2 is not "
+                         "exact in a double")
     if kind == "derivative" and regime_of(path.H) is not Regime.SUBCRITICAL:
         warnings.warn("derivative-kind local time diverges (as the cutoff "
                       "grows) for H >= 1/3", DivergentEstimatorWarning)

@@ -4,6 +4,10 @@ A :class:`TestFunction` bundles a vectorized evaluator with optional closed
 forms for its moments and Fourier transform, a support/scale hint used by
 the numeric fallbacks, and its declared integrability against polynomial
 weights (membership in the space of f with int |f|(1+|x|^w) dx < inf).
+
+Every built-in carries closed-form moments and a closed-form Fourier
+transform (``poly_bump`` up to k = 40); the numeric quadratures serve the
+other functions.
 """
 from __future__ import annotations
 
@@ -212,12 +216,58 @@ def hat(a: float = -1.0, b: float = 1.0) -> TestFunction:
                         closed_form_fourier=ft, scale_hint=b - a)
 
 
+#: largest poly_bump exponent with a closed-form transform: the series of
+#: ``_poly_bump_profile`` loses about 0F1(; k+3/2; (k+2)^2/4) ulps to
+#: cancellation, measured 4e-15 at k = 20, 5e-13 at k = 40, 1e-9 at k = 80
+_POLY_BUMP_MAX_CLOSED_K = 40
+
+
+def _poly_bump_profile(z: np.ndarray, k: int) -> np.ndarray:
+    """0F1(; k+3/2; -z^2/4) = (2k+1)!! j_k(z) / z^k, even in z.
+
+    For |z| <= k + 2 the 0F1 series in Horner form, summed until the term
+    bound at |z| = k + 2 falls below 2^-60.  Above it
+    g_n = (2n+1)!! j_n(z) / z^n by the upward recurrence
+    g_{n+1} = (2n+3)(2n+1) (g_n - g_{n-1}) / z^2 from g_{-1} = cos z and
+    g_0 = sin z / z, which is the stable direction while n < |z|."""
+    z = np.abs(z)
+    out = np.empty(z.shape)
+    low = z <= k + 2.0
+    x = -0.25 * z[low] ** 2
+    b, x_max = k + 1.5, 0.25 * (k + 2.0) ** 2
+    term, terms = 1.0, 0
+    while term > 2.0 ** -60 or x_max >= (b + terms) * (terms + 1):
+        terms += 1
+        term *= x_max / ((b + terms - 1) * terms)
+    s = np.ones_like(x)
+    for n in range(terms, 0, -1):
+        s *= x
+        s *= 1.0 / ((b + n - 1) * n)
+        s += 1.0
+    out[low] = s
+    zh = z[~low]
+    g_prev, g = np.cos(zh), np.sin(zh) / zh
+    inv_z2 = 1.0 / (zh * zh)
+    for n in range(k):
+        g_prev, g = g, (2 * n + 3) * (2 * n + 1) * inv_z2 * (g - g_prev)
+    out[~low] = g
+    return out
+
+
 def poly_bump(a: float = -1.0, b: float = 1.0, k: int = 2) -> TestFunction:
-    """Polynomial window (1-u^2)^k on [a,b] (u the affine map to [-1,1])."""
+    """Polynomial window (1-u^2)^k on [a,b] (u the affine map to [-1,1]).
+
+    With c and w the midpoint and half-width of [a,b], m0 its mass and
+    z = w eta, the transform is
+    fhat(eta) = e^{i eta c} m0 0F1(; k+3/2; -z^2/4)
+              = e^{i eta c} m0 (2k+1)!! j_k(z) / z^k,
+    j_k the spherical Bessel function, evaluated in elementary functions
+    (``_poly_bump_profile``) to 1e-12 m0 for k <= 40; above that only the
+    numeric transform is offered."""
     if not b > a:
         raise ValueError("poly_bump requires a < b")
-    if k < 1:
-        raise ValueError("poly_bump requires k >= 1")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError("poly_bump requires an integer k >= 1")
     c = 0.5 * (a + b)
     w = 0.5 * (b - a)
 
@@ -226,8 +276,16 @@ def poly_bump(a: float = -1.0, b: float = 1.0, k: int = 2) -> TestFunction:
         return np.where(np.abs(u) <= 1.0, (1.0 - u ** 2) ** k, 0.0)
 
     m0 = w * math.sqrt(math.pi) * math.gamma(k + 1) / math.gamma(k + 1.5)
+
+    def ft(eta):
+        eta = np.asarray(eta, dtype=float)
+        return np.exp(1j * eta * c) * (m0 * _poly_bump_profile(w * eta, k))
+
     return TestFunction(ev, f"poly_bump(a={a:g},b={b:g},k={k})", support=(a, b),
-                        closed_form_moments=(m0, c * m0), scale_hint=b - a)
+                        closed_form_moments=(m0, c * m0),
+                        closed_form_fourier=(ft if k <= _POLY_BUMP_MAX_CLOSED_K
+                                             else None),
+                        scale_hint=b - a)
 
 
 BUILTINS: dict[str, Callable[..., TestFunction]] = {

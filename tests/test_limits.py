@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -76,7 +79,8 @@ class TestBEta:
 class TestAH:
     def test_zero_function(self):
         z = tf.TestFunction(lambda x: np.zeros_like(x), "zero",
-                            support=(-1, 1), closed_form_moments=(0.0, 0.0))
+                            support=(-1, 1), closed_form_moments=(0.0, 0.0),
+                            closed_form_fourier=np.zeros_like)
         assert limits.a_h(z, z, 0.6).value == 0.0
 
     def test_symmetric(self):
@@ -113,6 +117,13 @@ class TestAH:
             aff = limits.a_h(f, f, H).value
             agg = limits.a_h(g, g, H).value
             assert afg ** 2 <= aff * agg * (1 + 1e-6)
+
+    def test_refuses_function_without_closed_form_transform(self):
+        numeric = tf.TestFunction(tf.poly_bump().evaluator, "numeric-bump",
+                                  support=(-1, 1))
+        for f, g in ((numeric, GD), (GD, numeric), (numeric, numeric)):
+            with pytest.raises(ValueError, match="numeric-bump"):
+                limits.a_h(f, g, 0.6)
 
     def test_subcritical_guard(self):
         with pytest.raises(ValueError):
@@ -182,7 +193,6 @@ class TestKernel:
 
     @staticmethod
     def functions():
-        # poly_bump has no closed-form transform: it takes the spline path
         return [tf.gaussian_derivative(1.0), tf.poly_bump(), tf.hat()]
 
     def test_matrix_entries_are_a_h(self):
@@ -205,9 +215,8 @@ class TestKernel:
 
         monkeypatch.setattr(limits, "fourier", counting)
         limits.covariance_matrix(self.functions(), 0.6)
-        # fhat(0) for each function, and one sampled grid for the spline
-        assert sorted(labels) == sorted(
-            [fn.label for fn in self.functions()] + [tf.poly_bump().label])
+        # fhat(0) for each function; the kernel runs the closed forms
+        assert sorted(labels) == sorted(fn.label for fn in self.functions())
 
     def test_peak_memory(self):
         fs = self.functions()
@@ -233,7 +242,8 @@ class TestKernel:
 class TestCovarianceMatrix:
     def test_single_zero_function(self):
         z = tf.TestFunction(lambda x: np.zeros_like(x), "zero",
-                            support=(-1, 1), closed_form_moments=(0.0, 0.0))
+                            support=(-1, 1), closed_form_moments=(0.0, 0.0),
+                            closed_form_fourier=np.zeros_like)
         lm = limits.covariance_matrix([z], 0.6)
         assert lm.matrix[0, 0] == 0.0
         assert lm.sqrt_matrix[0, 0] == 0.0
@@ -262,3 +272,23 @@ class TestCovarianceMatrix:
     def test_subcritical_rejected(self):
         with pytest.raises(ValueError):
             limits.covariance_matrix([GD], 0.25)
+
+    def test_refuses_function_without_closed_form_transform(self):
+        numeric = tf.TestFunction(tf.hat().evaluator, "numeric-hat",
+                                  support=(-1, 1))
+        with pytest.raises(ValueError, match="numeric-hat"):
+            limits.covariance_matrix([GD, numeric, tf.hat()], 0.6)
+        with pytest.raises(ValueError, match=r"poly_bump\(a=-1,b=1,k=41\)"):
+            limits.covariance_matrix([GD, tf.poly_bump(k=41)], 0.6)
+
+
+def test_import_loads_no_interpolation_module():
+    # every a_h profile is a closed form, so nothing needs scipy.interpolate
+    # (about 30 modules) at import time
+    src = os.path.dirname(os.path.dirname(limits.__file__))
+    code = ("import sys, fbmlab; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'interpolate']))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

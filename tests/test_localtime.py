@@ -151,6 +151,16 @@ class TestFourierEstimator:
         assert np.allclose(curve.values, p.times * 1e6 / math.pi,
                            rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["level", "derivative"])
+    def test_frequency_count_bounded_at_two_to_52(self, kind):
+        p = flat_path(N=16, H=0.25)
+        # 2^52 frequencies per side are the most that are exact
+        curve = lt.fourier_local_time(p, 0.0, 2.0 ** 51, 0.5, kind=kind)
+        assert np.isfinite(curve.values).all()
+        for xi_max, d_xi in (((2.0 ** 52 + 1) * 0.5, 0.5), (1e200, 1e-10)):
+            with pytest.raises(ValueError, match=r"exceeds 2\^52"):
+                lt.fourier_local_time(p, 0.0, xi_max, d_xi, kind=kind)
+
     @pytest.mark.parametrize("xi_max, d_xi", [
         (math.inf, 0.1), (10.0, math.inf), (math.nan, 0.1), (10.0, math.nan),
         (1e300, 1e-10), (0.0, 0.1), (10.0, -0.1)])

@@ -255,8 +255,13 @@ class TestCli:
         (["--estimator", "fourier", "--d-xi", "0"], "positive"),
         (["--T", "-1"], "T must be positive"),
         (["--T", "-1", "--eps", "0.01"], "T must be positive"),
+        (["--estimator", "fourier", "--xi-max", "1e200", "--d-xi", "1e-10"],
+         "exceeds 2^52"),
+        (["--estimator", "fourier", "--xi-max", "1e200", "--d-xi", "1e-10",
+          "--kind", "derivative"], "exceeds 2^52"),
     ], ids=["xi-max-inf", "xi-max-zero", "d-xi-zero", "T-negative",
-            "T-negative-fixed-eps"])
+            "T-negative-fixed-eps", "too-many-frequencies-level",
+            "too-many-frequencies-derivative"])
     def test_localtime_bad_grid_exits_2(self, tmp_path, capsys, extra,
                                         message):
         # an explicit 0 is refused, not replaced by the default

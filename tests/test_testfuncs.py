@@ -116,6 +116,39 @@ class TestFourier:
             assert abs(tf.fourier(f, -eta) - np.conj(tf.fourier(f, eta))) \
                 < 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 40])
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-1.0, 3.0), (0.5, 4.0),
+                                      (-3.0, -2.5)])
+    def test_poly_bump_closed_form_vs_quadrature(self, k, a, b):
+        f = tf.poly_bump(a, b, k)
+        numeric = tf.TestFunction(f.evaluator, "poly-num", support=(a, b),
+                                  scale_hint=b - a)
+        m0, m1 = tf.moments(f)
+        w = 0.5 * (b - a)
+        # the series runs for w |eta| <= k + 2, the recurrence above it
+        switch = (k + 2) / w
+        etas = [1e-6, 0.5 * switch, switch * (1 - 1e-9), switch * (1 + 1e-9),
+                2 * switch, 50 / w]
+        for eta in [0.0] + etas + [-e for e in etas]:
+            assert abs(tf.fourier(f, eta) - tf.fourier(numeric, eta)) \
+                <= 1e-12 * m0, eta
+        assert tf.fourier(f, 0.0) == m0
+        for eta in etas:
+            assert abs(tf.fourier(f, -eta) - np.conj(tf.fourier(f, eta))) \
+                <= 1e-15 * m0
+        h = 1e-4
+        fd = (tf.fourier(f, h) - tf.fourier(f, -h)) / (2 * h)
+        assert fd.imag == pytest.approx(m1, rel=1e-7, abs=1e-9)
+
+    def test_poly_bump_exponent(self):
+        # the series keeps 1e-12 m0 up to k = 40; beyond it the transform
+        # is numeric only
+        assert tf.poly_bump(k=40).closed_form_fourier is not None
+        assert tf.poly_bump(k=41).closed_form_fourier is None
+        for k in (0, 2.5, 2.0):
+            with pytest.raises(ValueError, match="integer k"):
+                tf.poly_bump(k=k)
+
     def test_transform_bounded_by_weighted_norm(self):
         rng = np.random.default_rng(11)
         for f in (tf.gaussian_bump(), tf.gaussian_derivative(), tf.hat(),
