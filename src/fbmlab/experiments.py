@@ -12,7 +12,12 @@ Both experiments and the two single-path functions call one kernel,
 time along row chunks of a value matrix, so its temporaries stay small
 whatever the batch.  Each n is compensated at its own bandwidth
 ``config.epsilon(n)``: under ``n2h`` it differs per n, and every record of
-``clt_experiment`` equals ``compensated_functional_Z`` of its path.
+``clt_experiment`` equals ``compensated_functional_Z`` of its path.  The
+kernel integrates in time by ``localtime.trapezoid_prefixes``, whose bits at
+a grid index do not depend on the other indices or rows: a record's ``L``
+equals ``mollified_local_time(path, lam, config.epsilon(n)).values[k]`` bit
+for bit at the record's grid index k, and ``Lp`` equals minus the
+derivative kind's value.
 
 Monte Carlo bytes are deterministic in (config, seed): every path draws
 from its own substream keyed by (seed, path index) and reductions run in
@@ -48,7 +53,8 @@ from .constants import ell, regime_of, Regime
 from .errors import CostGuardError
 from .fbm import CHOLESKY_MAX_N, VALUE_METHODS, FbmPath, sample_values
 from .limits import QuadResult, a_h, a_one_third
-from .localtime import heat_kernel, heat_kernel_prime
+from .localtime import (_check_lam, heat_kernel, heat_kernel_prime,
+                        trapezoid_prefixes)
 from .testfuncs import TestFunction, from_spec, moments, require_xi
 
 __all__ = [
@@ -71,8 +77,9 @@ def _epsilon(policy: str, dt: float, H: float, n: int) -> float:
         return float(n) ** (-2 * H)
     if policy.startswith("fixed:"):
         val = float(policy.split(":", 1)[1])
-        if val <= 0:
-            raise ValueError("fixed eps must be positive")
+        if not 0 < val < math.inf:
+            raise ValueError(f"fixed eps must be positive and finite, got "
+                             f"{val!r}")
         return val
     raise ValueError(f"unknown eps policy {policy!r}")
 
@@ -106,6 +113,7 @@ class ExperimentConfig:
         if isinstance(self.f, str):
             object.__setattr__(self, "f", (self.f,))
         object.__setattr__(self, "f", tuple(self.f))
+        object.__setattr__(self, "lam", _check_lam(self.lam))
         object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
         object.__setattr__(self, "n_ladder", tuple(
             _integer("an n_ladder entry", n) for n in self.n_ladder))
@@ -311,12 +319,6 @@ def _grid_index(t: float, dt: float, n_points: int) -> int:
     return k
 
 
-def _trapz_prefixes(y: np.ndarray, dt: float, t_idx) -> np.ndarray:
-    """Trapezoid integrals of y[..., :k+1] along the last axis, one per k."""
-    return np.array([(y[..., :k + 1].sum(axis=-1)
-                      - 0.5 * (y[..., 0] + y[..., k])) * dt for k in t_idx])
-
-
 #: values per row chunk of the functional kernel, the size of its temporaries
 _CHUNK_VALUES = 2 ** 16
 
@@ -339,15 +341,16 @@ def _functionals(values: np.ndarray, fs, H: float, lam: float, ns, eps,
         x = values[chunk] - lam
         for e in dict.fromkeys(eps):
             same = [i for i, v in enumerate(eps) if v == e]
-            L[same, :, chunk] = _trapz_prefixes(heat_kernel(e, x), dt, t_idx)
+            L[same, :, chunk] = trapezoid_prefixes(heat_kernel(e, x), dt,
+                                                   t_idx).T
             if slope:
                 # d/dlam of p_eps(B - lam) is -p'_eps(B - lam)
-                Lp[same, :, chunk] = _trapz_prefixes(
-                    -heat_kernel_prime(e, x), dt, t_idx)
+                Lp[same, :, chunk] = trapezoid_prefixes(
+                    -heat_kernel_prime(e, x), dt, t_idx).T
         for i_f, fn in enumerate(fs):
             for i_n, n in enumerate(ns):
-                F[i_f, i_n, :, chunk] = _trapz_prefixes(fn(n ** H * x), dt,
-                                                        t_idx)
+                F[i_f, i_n, :, chunk] = trapezoid_prefixes(fn(n ** H * x), dt,
+                                                           t_idx).T
     return F, L, Lp
 
 

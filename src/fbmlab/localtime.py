@@ -3,6 +3,19 @@
 Two constructions: mollification by the heat kernel (level and spatial
 derivative), and truncated Fourier inversion on a symmetric frequency grid.
 
+Every time integral in the package is taken by one trapezoid rule,
+``trapezoid_prefixes``: the mollified and Fourier curves, the occupation
+integrals, ``expected_mollified_local_time``, and the experiments'
+functional kernel (the additive functional F and the compensators L and
+L').  It returns (S_k - (y_0 + y_k)/2) dt, where the prefix sum S_k adds,
+in order, the pairwise sums of the whole blocks of ``_BLOCK`` = 1024 values
+before k's block, then k's own block value by value.  So the bits at k
+depend only on y[..., :k+1] and the block size: a whole curve and a request
+for a few indices agree bit for bit, a row alone and the same row inside a
+matrix agree bit for bit, and ``mollified_local_time(path, lam,
+eps).values[k]`` is bitwise the ``L`` that an experiment records at grid
+index k (minus the derivative kind, its ``Lp``).
+
 Two exact expectations serve as oracles.  ``expected_local_time`` is
 E[L_t(lam)] for the true local time.  ``expected_mollified_local_time`` is
 the exact mean of the level-kind mollified estimator on an N-step grid.  At
@@ -14,6 +27,7 @@ Carlo mean of the estimator must be compared with the second one.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +43,7 @@ __all__ = [
     "heat_kernel", "heat_kernel_prime", "LocalTimeCurve",
     "mollified_local_time", "fourier_local_time", "occupation_integral",
     "occupation_density_check", "expected_local_time",
-    "expected_mollified_local_time",
+    "expected_mollified_local_time", "trapezoid_prefixes",
     "DivergentEstimatorWarning",
 ]
 
@@ -38,10 +52,22 @@ class DivergentEstimatorWarning(UserWarning):
     """The derivative-kind estimator has no L2 limit for H >= 1/3."""
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+
+
+def _check_lam(lam) -> float:
+    """lam as a float; a level that is not a finite real number raises."""
+    if (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+            and math.isfinite(lam)):
+        return float(lam)
+    raise ValueError(f"lambda must be a finite real number, got {lam!r}")
+
+
 def heat_kernel(eps: float, x):
     """Centered Gaussian density of variance eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     x = np.asarray(x, dtype=float)
     out = np.exp(-x * x / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
     return float(out) if out.ndim == 0 else out
@@ -49,8 +75,7 @@ def heat_kernel(eps: float, x):
 
 def heat_kernel_prime(eps: float, x):
     """x-derivative of the heat kernel: -(x/eps) * p_eps(x)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     x = np.asarray(x, dtype=float)
     out = -(x / eps) * np.exp(-x * x / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
     return float(out) if out.ndim == 0 else out
@@ -92,11 +117,38 @@ class LocalTimeCurve:
         return float(self.values[-1])
 
 
-def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
-    out = np.empty(y.shape[0])
-    out[0] = 0.0
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * dt, out=out[1:])
-    return out
+#: values per block of the trapezoid rule's prefix sums
+_BLOCK = 1024
+
+
+def trapezoid_prefixes(y, dt: float, idx=None) -> np.ndarray:
+    """The trapezoid integral of y[..., :k+1] along the last axis at step dt,
+    for each grid index k in ``idx`` (every k when None), on the last axis
+    of the result; the rule is in the module docstring."""
+    y = np.asarray(y, dtype=float)
+    n, lead = y.shape[-1], y.shape[:-1]
+    top = (n - 1 if idx is None else max(idx)) // _BLOCK
+    # ufunc methods rather than np.cumsum and .sum, and index arithmetic on
+    # Python ints: the kernel makes thousands of calls on small arrays, where
+    # each numpy call's fixed cost adds up
+    before = np.zeros(lead + (top + 1,))
+    np.add.accumulate(np.add.reduce(
+        y[..., :top * _BLOCK].reshape(lead + (top, _BLOCK)), axis=-1),
+        axis=-1, out=before[..., 1:])
+    if idx is None:
+        own = np.zeros(before.shape + (_BLOCK,))
+        own.reshape(lead + (-1,))[..., :n] = y
+        np.add.accumulate(own, axis=-1, out=own)
+        own += before[..., None]
+        total = own.reshape(lead + (-1,))[..., :n]
+        total -= 0.5 * (y[..., :1] + y)
+        total *= dt
+        return total
+    q = [k // _BLOCK for k in idx]
+    own = np.stack([
+        np.add.accumulate(y[..., j * _BLOCK:k + 1], axis=-1)[..., -1]
+        for k, j in zip(idx, q)], axis=-1)
+    return (before[..., q] + own - 0.5 * (y[..., :1] + y[..., idx])) * dt
 
 
 #: most frequencies per side of the Fourier grid: k + 1/2 is exact in a
@@ -125,8 +177,8 @@ def mollified_local_time(path: FbmPath, lam: float, eps: float,
                          kind: str = "level") -> LocalTimeCurve:
     """Trapezoidal time integral of the mollified delta (or its derivative)
     applied to the path, at level lam."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    lam = _check_lam(lam)
+    _check_eps(eps)
     if kind == "derivative" and regime_of(path.H) is not Regime.SUBCRITICAL:
         warnings.warn("derivative-kind local time diverges (as the bandwidth "
                       "shrinks) for H >= 1/3", DivergentEstimatorWarning)
@@ -135,7 +187,7 @@ def mollified_local_time(path: FbmPath, lam: float, eps: float,
     return LocalTimeCurve(
         path_seed=path.seed, path_index=path.path_index, H=path.H, T=path.T,
         N=path.N, lam=lam, kind=kind, estimator="mollified", param=eps,
-        values=_cumtrapz(integrand, path.dt))
+        values=trapezoid_prefixes(integrand, path.dt))
 
 
 def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
@@ -153,6 +205,7 @@ def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
     O(N) cost for any number of frequencies: once max|B - lam| d_xi >= pi
     the estimate folds in the levels lam + j 2 pi/d_xi with sign (-1)^j.
     A grid of more than 2^52 frequencies per side is refused."""
+    lam = _check_lam(lam)
     if not (0 < xi_max < math.inf and 0 < d_xi < math.inf
             and xi_max / d_xi < math.inf):
         raise ValueError("xi_max, d_xi and their ratio must be positive and "
@@ -176,12 +229,12 @@ def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
     return LocalTimeCurve(
         path_seed=path.seed, path_index=path.path_index, H=path.H, T=path.T,
         N=path.N, lam=lam, kind=kind, estimator="fourier", param=xi_max,
-        d_xi=d_xi, values=_cumtrapz(acc, path.dt))
+        d_xi=d_xi, values=trapezoid_prefixes(acc, path.dt))
 
 
 def occupation_integral(path: FbmPath, f: TestFunction) -> float:
     """Time integral of f along the path (trapezoid)."""
-    return float(np.trapezoid(f(path.values), dx=path.dt))
+    return float(trapezoid_prefixes(f(path.values), path.dt, [path.N])[0])
 
 
 def occupation_density_check(path: FbmPath, f: TestFunction,
@@ -189,16 +242,16 @@ def occupation_density_check(path: FbmPath, f: TestFunction,
     """Both sides of the occupation-density identity:
     lhs = int_0^T f(B_s) ds, rhs = int f(x) Lhat_T(x) dx with the mollified
     estimator evaluated on a 512-point spatial grid."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     lhs = occupation_integral(path, f)
     pad = 4.0 * math.sqrt(eps)
     grid = np.linspace(path.values.min() - pad, path.values.max() + pad, 512)
     # L_T(x_i) by trapezoid in time for every grid level at once
     diffs = path.values[None, :] - grid[:, None]
     dens = heat_kernel(eps, diffs)
-    lt = np.trapezoid(dens, dx=path.dt, axis=1)
-    rhs = float(np.trapezoid(f(grid) * lt, grid))
+    lt = trapezoid_prefixes(dens, path.dt, [path.N])[:, 0]
+    rhs = float(trapezoid_prefixes(f(grid) * lt, grid[1] - grid[0],
+                                   [grid.size - 1])[0])
     return lhs, rhs
 
 
@@ -216,6 +269,7 @@ def expected_local_time(H: float, t: float, lam: float) -> float:
     N -> infinity, not its mean at a fixed grid; for that see
     ``expected_mollified_local_time``."""
     _check_h_t(H, t)
+    lam = _check_lam(lam)
     if t == 0.0:
         return 0.0
     p = 1.0 / (1.0 - H)
@@ -237,12 +291,12 @@ def expected_mollified_local_time(H: float, t: float, lam: float,
     = p_{t_k^{2H} + eps}(lam) and the trapezoid sum's mean is
     dt * sum'_k p_{t_k^{2H} + eps}(lam), the endpoints weighted by 1/2."""
     _check_h_t(H, t)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    lam = _check_lam(lam)
+    _check_eps(eps)
     if N < 1:
         raise ValueError("N must be >= 1")
     if t == 0.0:
         return 0.0
     var = np.linspace(0.0, t, N + 1) ** (2 * H) + eps
     dens = np.exp(-lam * lam / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
-    return float(np.trapezoid(dens, dx=t / N))
+    return float(trapezoid_prefixes(dens, t / N, [N])[0])

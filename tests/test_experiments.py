@@ -59,6 +59,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(eps_policy="bogus").epsilon(16)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, "abc", [1], True])
+    def test_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be a finite"):
+            small_config(lam=lam)
+
+    def test_lambda_stored_as_float(self):
+        cfg = small_config(lam=1)
+        assert type(cfg.lam) is float
+        assert repr(cfg.to_dict()["lambda"]) == "1.0"
+
     def test_empty_experiment_rejected(self):
         with pytest.raises(ValueError):
             small_config(path_count=0)
@@ -78,7 +88,8 @@ class TestConfig:
         with pytest.raises(ValueError, match=method):
             small_config(method=method)
 
-    @pytest.mark.parametrize("policy", ["bogus", "fixed:-1"])
+    @pytest.mark.parametrize("policy", ["bogus", "fixed:-1", "fixed:nan",
+                                        "fixed:inf"])
     def test_eps_policy_rejected(self, policy):
         with pytest.raises(ValueError):
             small_config(eps_policy=policy)
@@ -315,6 +326,51 @@ class TestCltExperiment:
                                              rec["n"], rec["t"],
                                              eps_policy="n2h")
             assert abs(rec["Z"] - z) <= 1e-12, rec
+
+
+class TestRecordsEqualCurves:
+    """One trapezoid rule: on a 2^12 grid, which spans several blocks of the
+    rule, the records are the single-path curves bit for bit."""
+
+    CLT = dict(H=0.6, eps_policy="n2h", lam=0.3, t_list=(0.25, 1.0),
+               grid_per_unit=4096, path_count=3)
+    DERIVATIVE = dict(H=0.25, f=("gaussian_bump:sigma=1,center=0.5",),
+                      t_list=(0.25, 1.0), grid_per_unit=4096, path_count=3)
+
+    def _records_and_curves(self, run, cfg):
+        rep = run(cfg)
+        paths = fbm.sample_paths(cfg.H, cfg.horizon, cfg.grid_points,
+                                 cfg.path_count, seed=cfg.seed)
+        k_of = dict(zip(cfg.t_list, cfg.t_indices()))
+        for rec in rep.per_path:
+            yield (rec, paths[rec["path"]], cfg.epsilon(rec["n"]),
+                   k_of[rec["t"]])
+
+    def test_clt_records_equal_mollified_curves(self):
+        cfg = small_config(**self.CLT)
+        for rec, p, eps, k in self._records_and_curves(exp.clt_experiment,
+                                                        cfg):
+            assert rec["L"] == lt.mollified_local_time(
+                p, cfg.lam, eps).values[k], rec
+
+    def test_derivative_records_equal_mollified_curves(self):
+        cfg = small_config(**self.DERIVATIVE)
+        for rec, p, eps, k in self._records_and_curves(
+                exp.derivative_experiment, cfg):
+            assert rec["L"] == lt.mollified_local_time(
+                p, cfg.lam, eps).values[k], rec
+            assert rec["Lp"] == -lt.mollified_local_time(
+                p, cfg.lam, eps, kind="derivative").values[k], rec
+
+    @pytest.mark.parametrize("run, kw", [
+        (exp.clt_experiment, CLT), (exp.derivative_experiment, DERIVATIVE)],
+        ids=["clt", "derivative"])
+    def test_record_does_not_depend_on_other_times(self, run, kw):
+        one, three = (run(small_config(**{**kw, "t_list": ts})).per_path
+                      for ts in [(1.0,), (0.25, 0.5, 1.0)])
+        for key, col in one.columns.items():
+            assert np.array_equal(col[..., 0, :],
+                                  three.columns[key][..., 2, :]), key
 
 
 # finite mass, but no finite weight-1 norm: outside every class the

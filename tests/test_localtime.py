@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fbmlab import experiments as exp
 from fbmlab import fbm
 from fbmlab import localtime as lt
 from fbmlab import testfuncs as tf
@@ -41,6 +42,59 @@ class TestHeatKernel:
             lt.heat_kernel(0.0, 1.0)
         with pytest.raises(ValueError):
             lt.heat_kernel_prime(-1.0, 1.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_nonfinite_eps(self, eps):
+        for kernel in (lt.heat_kernel, lt.heat_kernel_prime):
+            with pytest.raises(ValueError, match="positive and finite"):
+                kernel(eps, 1.0)
+
+
+B = lt._BLOCK
+
+
+def cumsum_trapezoid(y, dt):
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]))]) * dt
+
+
+class TestTrapezoidRule:
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1,
+                                   2 ** 17 + 1])
+    def test_matches_reference_trapezoids(self, n):
+        y = lt.heat_kernel(0.1, np.random.default_rng(n).standard_normal(n))
+        dt = 1.0 / n
+        curve = lt.trapezoid_prefixes(y, dt)
+        np.testing.assert_allclose(curve, cumsum_trapezoid(y, dt),
+                                   rtol=1e-13, atol=0.0)
+        last = lt.trapezoid_prefixes(y, dt, [n - 1])[0]
+        assert last == pytest.approx(np.trapezoid(y, dx=dt), rel=1e-13,
+                                     abs=0.0)
+
+    def test_dense_and_sparse_requests_bitwise_equal(self):
+        n = 3 * B + 17
+        y = np.random.default_rng(1).standard_normal((4, n))
+        dense = lt.trapezoid_prefixes(y, 0.1)
+        for idx in ([n - 1], [0, B - 1, B, B + 1, 2 * B, n - 1],
+                    [3 * B + 5, 7, 7, B]):
+            assert np.array_equal(lt.trapezoid_prefixes(y, 0.1, idx),
+                                  dense[:, idx])
+
+    def test_row_alone_and_prefix_alone_bitwise_equal(self):
+        # the bits at k depend on y[..., :k+1] alone: not on the other rows
+        # of a chunk, nor on the values after k
+        n = 2 * B + 9
+        y = np.random.default_rng(2).standard_normal((5, n))
+        idx = [B - 1, B + 4, n - 1]
+        chunk = lt.trapezoid_prefixes(y, 0.1, idx)
+        for i in range(len(y)):
+            assert np.array_equal(lt.trapezoid_prefixes(y[i], 0.1, idx),
+                                  chunk[i])
+            assert np.array_equal(lt.trapezoid_prefixes(y[i], 0.1),
+                                  lt.trapezoid_prefixes(y, 0.1)[i])
+        for k in idx:
+            assert np.array_equal(
+                lt.trapezoid_prefixes(y[:, :k + 1], 0.1)[:, -1],
+                lt.trapezoid_prefixes(y, 0.1, [k])[:, 0])
 
 
 class TestMollified:
@@ -139,7 +193,8 @@ class TestFourierEstimator:
             assert np.abs(x).max() * d_xi == pytest.approx(reach * math.pi)
             curve = lt.fourier_local_time(p, lam, m * d_xi, d_xi, kind=kind)
             acc = oracles.oracle_fourier_sum(x, m, d_xi, kind)
-            want = lt._cumtrapz(acc * d_xi / (2.0 * math.pi), p.dt)
+            want = lt.trapezoid_prefixes(acc * d_xi / (2.0 * math.pi),
+                                         p.dt)
             assert np.allclose(curve.values, want, rtol=0.0,
                                atol=1e-12 * np.abs(want).max()), reach
 
@@ -219,6 +274,14 @@ class TestOccupation:
         assert lt.occupation_integral(p, wide) == pytest.approx(p.T,
                                                                 rel=1e-12)
 
+    def test_equals_unscaled_additive_functional_bitwise(self):
+        # one trapezoid rule: the n = 1, lam = 0 functional of the
+        # experiments' kernel is the occupation integral, bit for bit
+        p = fbm.sample_paths(0.5, 1.0, 4096, 1, seed=12)[0]
+        for f in (tf.gaussian_bump(1.0, 0.0), tf.hat(-1.0, 1.0)):
+            assert lt.occupation_integral(p, f) == \
+                exp.scaled_additive_functional(p, f, 0.0, 1, p.T)
+
     def test_identity_smooth_function(self):
         p = fbm.sample_paths(0.5, 1.0, 4096, 1, seed=12)[0]
         f = tf.gaussian_bump(1.0, 0.0)
@@ -289,6 +352,33 @@ class TestExpectedMollifiedLocalTime:
             lt.expected_mollified_local_time(0.5, 1.0, 0.0, 0.0, 8)
         with pytest.raises(ValueError):
             lt.expected_mollified_local_time(0.5, 1.0, 0.0, 0.01, 0)
+
+
+class TestLevelAndBandwidthChecks:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, "abc",
+                                     [1], True])
+    def test_level_must_be_finite_real(self, lam):
+        p = flat_path(N=16)
+        for call in (lambda: lt.mollified_local_time(p, lam, 0.01),
+                     lambda: lt.fourier_local_time(p, lam, 10.0, 0.1),
+                     lambda: lt.expected_local_time(0.5, 1.0, lam),
+                     lambda: lt.expected_mollified_local_time(0.5, 1.0, lam,
+                                                              0.01, 8)):
+            with pytest.raises(ValueError, match="lambda must be a finite"):
+                call()
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_bandwidth_must_be_finite(self, eps):
+        p = flat_path(N=16)
+        for call in (lambda: lt.mollified_local_time(p, 0.0, eps),
+                     lambda: lt.mollified_local_time(p, 0.0, eps,
+                                                     kind="derivative"),
+                     lambda: lt.occupation_density_check(
+                         p, tf.gaussian_bump(1.0, 0.0), eps),
+                     lambda: lt.expected_mollified_local_time(0.5, 1.0, 0.0,
+                                                              eps, 8)):
+            with pytest.raises(ValueError, match="eps must be positive and"):
+                call()
 
 
 class TestStability:

@@ -232,7 +232,13 @@ class TestCli:
         ("clt-experiment", b'{"H": 0.6, "path_count": "3"}', "str"),
         ("localtime", struct.pack("<4sIdIIQ", b"FBMP", 1, 0.6, 8, 0, 0),
          "no path"),
-    ], ids=["unknown-key", "list", "wrong-type", "empty-container"])
+        ("clt-experiment", b'{"H": 0.6, "lambda": NaN}', "lambda must be"),
+        ("clt-experiment", b'{"H": 0.6, "lambda": "abc"}', "'abc'"),
+        ("clt-experiment", b'{"H": 0.6, "lambda": [1]}', "[1]"),
+        ("clt-experiment", b'{"H": 0.6, "eps_policy": "fixed:nan"}',
+         "fixed eps must be positive and finite"),
+    ], ids=["unknown-key", "list", "wrong-type", "empty-container",
+            "lambda-nan", "lambda-str", "lambda-list", "fixed-eps-nan"])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
                                                  command, content, names):
         fn = tmp_path / "input"
@@ -259,9 +265,15 @@ class TestCli:
          "exceeds 2^52"),
         (["--estimator", "fourier", "--xi-max", "1e200", "--d-xi", "1e-10",
           "--kind", "derivative"], "exceeds 2^52"),
+        (["--lambda", "nan"], "lambda must be a finite"),
+        (["--lambda", "inf", "--estimator", "fourier"],
+         "lambda must be a finite"),
+        (["--eps", "nan"], "eps must be positive and finite"),
+        (["--eps", "inf"], "eps must be positive and finite"),
     ], ids=["xi-max-inf", "xi-max-zero", "d-xi-zero", "T-negative",
             "T-negative-fixed-eps", "too-many-frequencies-level",
-            "too-many-frequencies-derivative"])
+            "too-many-frequencies-derivative", "lambda-nan",
+            "lambda-inf-fourier", "eps-nan", "eps-inf"])
     def test_localtime_bad_grid_exits_2(self, tmp_path, capsys, extra,
                                         message):
         # an explicit 0 is refused, not replaced by the default
