@@ -84,6 +84,7 @@ def _cmd_localtime(args) -> int:
     curves = []
     for p in paths:
         eps = p.dt ** (2 * p.H) if args.eps == "auto" else float(args.eps)
+        localtime._check_eps(eps)
         if args.estimator == "mollified":
             curves.append(localtime.mollified_local_time(p, args.lam, eps,
                                                          kind=args.kind))

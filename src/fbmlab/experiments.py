@@ -117,8 +117,11 @@ class ExperimentConfig:
         object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
         object.__setattr__(self, "n_ladder", tuple(
             _integer("an n_ladder entry", n) for n in self.n_ladder))
-        for name in ("seed", "path_count", "batch_size", "threads"):
+        for name in ("seed", "path_count", "grid_per_unit", "batch_size",
+                     "threads"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if math.isnan(self.cost_guard):
+            raise ValueError("cost_guard must not be NaN")
         if not self.n_ladder:
             raise ValueError("n_ladder must name at least one scale")
         if any(b >= a for a, b in zip(self.n_ladder[1:], self.n_ladder)):
@@ -134,6 +137,9 @@ class ExperimentConfig:
         if self.method not in VALUE_METHODS:
             raise ValueError(f"experiments run {VALUE_METHODS} synthesis, "
                              f"not {self.method!r}")
+        if not all(map(math.isfinite, self.t_list)):
+            raise ValueError(f"t_list times must be finite, got "
+                             f"{list(self.t_list)}")
         if not self.t_list or min(self.t_list) <= 0:
             raise ValueError("t_list must contain positive times")
         if len(set(self.t_list)) < len(self.t_list):

@@ -1,9 +1,13 @@
 """Test functions f: R -> R with the analytic attributes the experiments need.
 
 A :class:`TestFunction` bundles a vectorized evaluator with optional closed
-forms for its moments and Fourier transform, a support/scale hint used by
-the numeric fallbacks, and its declared integrability against polynomial
+forms for its moments and Fourier transform, a support and a scale hint for
+the numeric quadratures, and its declared integrability against polynomial
 weights (membership in the space of f with int |f|(1+|x|^w) dx < inf).
+
+A ``support`` (a, b) states that the evaluator is exactly 0.0 outside
+[a, b]; it is the window of the numeric quadratures, and calls do not mask
+by it.  The built-ins with a support vanish there by their own formulas.
 
 Every built-in carries closed-form moments and a closed-form Fourier
 transform (``poly_bump`` up to k = 40); the numeric quadratures serve the
@@ -27,6 +31,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A test function f, computed by ``evaluator``.  A ``support`` (a, b),
+    a < b, promises that f is 0.0 outside [a, b] and is the window of the
+    numeric quadratures; calls do not mask by it."""
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str
     support: Optional[tuple[float, float]] = None
@@ -37,13 +44,15 @@ class TestFunction:
     # integrable against every polynomial weight (all built-ins qualify)
     xi_declared: float = math.inf
 
+    def __post_init__(self):
+        if self.support is not None and not (
+                len(self.support) == 2 and self.support[0] < self.support[1]):
+            raise ValueError(f"{self.label}: support must be a pair a < b, "
+                             f"got {self.support!r}")
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.evaluator(x), dtype=float)
-        if self.support is not None:
-            a, b = self.support
-            out = np.where((x >= a) & (x <= b), out, 0.0)
-        return out
+        return np.asarray(self.evaluator(np.asarray(x, dtype=float)),
+                          dtype=float)
 
 
 def _integration_window(f: TestFunction) -> tuple[float, float]:
@@ -204,7 +213,8 @@ def hat(a: float = -1.0, b: float = 1.0) -> TestFunction:
     w = 0.5 * (b - a)
 
     def ev(x):
-        return np.maximum(0.0, 1.0 - np.abs(x - c) / w)
+        # the sign of x - a and of b - x is exact, so 0.0 outside [a, b]
+        return np.maximum(0.0, np.minimum(x - a, b - x)) / w
 
     def ft(eta):
         eta = np.asarray(eta, dtype=float)
@@ -273,7 +283,8 @@ def poly_bump(a: float = -1.0, b: float = 1.0, k: int = 2) -> TestFunction:
 
     def ev(x):
         u = (x - c) / w
-        return np.where(np.abs(u) <= 1.0, (1.0 - u ** 2) ** k, 0.0)
+        return np.where((x >= a) & (x <= b),
+                        np.maximum(0.0, 1.0 - u ** 2) ** k, 0.0)
 
     m0 = w * math.sqrt(math.pi) * math.gamma(k + 1) / math.gamma(k + 1.5)
 

@@ -260,6 +260,37 @@ def oracle_circulant_paths(H: float, T: float, N: int, count: int,
                           axis=1)
 
 
+def _support_masked(evaluator, a: float, b: float):
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= a) & (x <= b), evaluator(x), 0.0)
+    return f
+
+
+def oracle_indicator(a: float, b: float):
+    """The indicator of [a, b] as 1.0 on the support mask."""
+    return _support_masked(np.ones_like, a, b)
+
+
+def oracle_hat(a: float, b: float):
+    """The hat 1 - |x - c| / w (c, w the midpoint and half-width of
+    [a, b]) clipped at 0 and masked by the support."""
+    c, w = 0.5 * (a + b), 0.5 * (b - a)
+    return _support_masked(
+        lambda x: np.maximum(0.0, 1.0 - np.abs(x - c) / w), a, b)
+
+
+def oracle_poly_bump(a: float, b: float, k: int):
+    """(1 - u^2)^k where |u| <= 1, u = (x - c) / w, masked by the
+    support."""
+    c, w = 0.5 * (a + b), 0.5 * (b - a)
+
+    def ev(x):
+        u = (x - c) / w
+        return np.where(np.abs(u) <= 1.0, (1.0 - u ** 2) ** k, 0.0)
+    return _support_masked(ev, a, b)
+
+
 def oracle_fourier_sum(y, m: int, d: float, kind: str) -> np.ndarray:
     """The symmetric midpoint frequency sum at xi_k = (k + 1/2) d, k < m,
     term by term: sum_k 2 cos(xi_k y) (level) or -2 xi_k sin(xi_k y)

@@ -129,11 +129,22 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("seed", "1"), ("path_count", 2.5),
         ("batch_size", 16.0), ("threads", True), ("n_ladder", (4.7, 8)),
-        ("n_ladder", (4, 8.0)), ("n_ladder", (False, 8))])
+        ("n_ladder", (4, 8.0)), ("n_ladder", (False, 8)),
+        ("grid_per_unit", 64.7), ("grid_per_unit", True)])
     def test_integer_field_rejected(self, field, value):
-        # a float seed or count used to fail in numpy after validation, and
-        # a float scale was truncated (4.7 ran n = 4)
-        with pytest.raises(ValueError, match="must be an integer"):
+        # a float seed or count used to fail in numpy after validation, a
+        # float scale was truncated (4.7 ran n = 4), and a grid_per_unit of
+        # 64.7 ran 65 grid points while the report echoed 64.7
+        with pytest.raises(ValueError, match=f"{field} .*must be an integer"):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_list", (math.inf,)), ("t_list", (0.5, math.nan)),
+        ("t_list", (math.nan, 1.0)), ("cost_guard", math.nan)])
+    def test_nonfinite_field_rejected(self, field, value):
+        # an infinite time overflowed the grid size, a NaN one failed in
+        # int(), and a NaN cost guard turned the guard off
+        with pytest.raises(ValueError, match=f"{field} "):
             small_config(**{field: value})
 
 

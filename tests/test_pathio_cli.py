@@ -237,8 +237,19 @@ class TestCli:
         ("clt-experiment", b'{"H": 0.6, "lambda": [1]}', "[1]"),
         ("clt-experiment", b'{"H": 0.6, "eps_policy": "fixed:nan"}',
          "fixed eps must be positive and finite"),
+        ("clt-experiment", b'{"H": 0.6, "grid_per_unit": 64.7}',
+         "grid_per_unit must be an integer"),
+        ("clt-experiment", b'{"H": 0.6, "grid_per_unit": true}',
+         "grid_per_unit must be an integer"),
+        ("clt-experiment", b'{"H": 0.6, "t_list": [Infinity]}',
+         "t_list times must be finite"),
+        ("clt-experiment", b'{"H": 0.6, "t_list": [NaN]}',
+         "t_list times must be finite"),
+        ("clt-experiment", b'{"H": 0.6, "cost_guard": NaN}',
+         "cost_guard must not be NaN"),
     ], ids=["unknown-key", "list", "wrong-type", "empty-container",
-            "lambda-nan", "lambda-str", "lambda-list", "fixed-eps-nan"])
+            "lambda-nan", "lambda-str", "lambda-list", "fixed-eps-nan",
+            "grid-float", "grid-bool", "t-inf", "t-nan", "cost-guard-nan"])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
                                                  command, content, names):
         fn = tmp_path / "input"
@@ -270,10 +281,18 @@ class TestCli:
          "lambda must be a finite"),
         (["--eps", "nan"], "eps must be positive and finite"),
         (["--eps", "inf"], "eps must be positive and finite"),
+        (["--eps", "0"], "eps must be positive and finite"),
+        (["--estimator", "fourier", "--eps", "0"],
+         "eps must be positive and finite"),
+        (["--estimator", "fourier", "--eps", "-1"],
+         "eps must be positive and finite"),
+        (["--estimator", "fourier", "--eps", "nan"],
+         "eps must be positive and finite"),
     ], ids=["xi-max-inf", "xi-max-zero", "d-xi-zero", "T-negative",
             "T-negative-fixed-eps", "too-many-frequencies-level",
             "too-many-frequencies-derivative", "lambda-nan",
-            "lambda-inf-fourier", "eps-nan", "eps-inf"])
+            "lambda-inf-fourier", "eps-nan", "eps-inf", "eps-zero",
+            "eps-zero-fourier", "eps-negative-fourier", "eps-nan-fourier"])
     def test_localtime_bad_grid_exits_2(self, tmp_path, capsys, extra,
                                         message):
         # an explicit 0 is refused, not replaced by the default

@@ -189,3 +189,93 @@ class TestSpecParsing:
             f = factory()
             for w in (1.0, 2.0, 1.5):
                 assert tf.in_xi(f, w)
+
+
+def _around(a, b, rng, count=2000):
+    """Random points on [a - w, b + w] (w = b - a), a and b, and the 50
+    doubles on each side of each end."""
+    near = [a, b]
+    for end in (a, b):
+        lo = hi = end
+        for _ in range(50):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            near += [lo, hi]
+    return np.concatenate([rng.uniform(2 * a - b, 2 * b - a, count), near])
+
+
+ORACLES = {"indicator": lambda a, b, k: oracles.oracle_indicator(a, b),
+           "hat": lambda a, b, k: oracles.oracle_hat(a, b),
+           "poly_bump": oracles.oracle_poly_bump}
+
+
+class TestSupport:
+    @pytest.mark.parametrize("spec, name, a, b, k", [
+        ("hat:a=-1,b=1", "hat", -1.0, 1.0, None),
+        ("indicator:a=0,b=1", "indicator", 0.0, 1.0, None),
+        ("poly_bump", "poly_bump", -1.0, 1.0, 2)])
+    def test_specs_in_use_match_masked_formula_bitwise(self, spec, name, a,
+                                                       b, k):
+        # the specs of the goldens, the acceptance criteria and the
+        # benchmark: values, and the reports built on them, do not move
+        x = _around(a, b, np.random.default_rng(3), count=200_000)
+        got = tf.from_spec(spec)(x)
+        assert got.tobytes() == ORACLES[name](a, b, k)(x).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_zero_outside_support_by_formula(self, name):
+        # one end within 1 of 0 and most widths above 1: there the ulps of
+        # that end are finer than those of x - c, where a formula in
+        # u = (x - c) / w alone leaked 1e-16 just outside the end
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            a = rng.uniform(-1.0, 1.0)
+            a, b = sorted((a, a + rng.choice((-1.0, 1.0))
+                           * rng.uniform(1e-3, 6.0)))
+            k = int(rng.integers(1, 6))
+            f = (tf.poly_bump(a, b, k) if name == "poly_bump"
+                 else tf.BUILTINS[name](a, b))
+            assert f.support == (a, b)
+            x = _around(a, b, rng)
+            got = f(x)
+            outside = (x < a) | (x > b)
+            assert np.all(got[outside] == 0.0)
+            ref = ORACLES[name](a, b, k)(x)
+            assert np.max(np.abs(got - ref)[~outside]) <= 1e-14
+
+    @pytest.mark.parametrize("f", [
+        zero_function(),
+        tf.TestFunction(tf.indicator(0, 1).evaluator, "ind", support=(0, 1)),
+        tf.TestFunction(tf.hat().evaluator, "hat", support=(-1, 1)),
+        tf.TestFunction(tf.poly_bump().evaluator, "poly", support=(-1, 1)),
+        tf.TestFunction(tf.poly_bump(-1, 2, 2).evaluator, "poly",
+                        support=(-1, 2)),
+        *(tf.TestFunction(tf.poly_bump(a, b, k).evaluator, "poly",
+                          support=(a, b))
+          for k in (1, 2, 3, 5, 40)
+          for a, b in ((-1.0, 1.0), (-1.0, 3.0), (0.5, 4.0), (-3.0, -2.5)))])
+    def test_custom_functions_with_support_vanish_outside(self, f):
+        # the support-carrying functions the other tests build
+        a, b = f.support
+        x = _around(a, b, np.random.default_rng(5))
+        assert np.all(f(x)[(x < a) | (x > b)] == 0.0)
+
+    def test_call_does_not_mask(self):
+        # the support is a promise of the evaluator, not a second mask
+        one = tf.TestFunction(np.ones_like, "one", support=(0.0, 1.0))
+        assert one(2.0) == 1.0
+
+    @pytest.mark.parametrize("support", [(1.0, 0.0), (0.0, math.nan),
+                                         (math.nan, 1.0), (0.5, 0.5),
+                                         (0.0, 1.0, 2.0)])
+    def test_malformed_support_rejected(self, support):
+        with pytest.raises(ValueError, match="support must be a pair a < b"):
+            tf.TestFunction(np.ones_like, "bad", support=support)
+
+    def test_half_line_support_accepted(self):
+        f = tf.TestFunction(lambda x: np.where(x >= 0.0, np.exp(-np.abs(x)),
+                                               0.0),
+                            "exp", support=(0.0, math.inf))
+        assert tf.weighted_norm(f, 1.0) == pytest.approx(2.0, rel=1e-10)
+        m0, m1 = tf.moments(f)
+        assert m0 == pytest.approx(1.0, rel=1e-10)
+        assert m1 == pytest.approx(1.0, rel=1e-10)
