@@ -9,8 +9,16 @@ expansion against the local-time derivative in the rough regime H < 1/3.
 
 Both experiments and the two single-path functions call one kernel,
 ``_functionals``, which evaluates f(n^H (B - lam)) and the mollified local
-time along row chunks of a value matrix, so its temporaries stay small
-whatever the batch.  Each n is compensated at its own bandwidth
+time along the rows of a value matrix.  Memory follows a two-level rule.
+An experiment draws its paths in blocks of at most ``_BLOCK_VALUES`` values
+(2^20, 8 MB; at least one row), and the kernel integrates each block before
+the next is drawn.  Inside a block the kernel walks row chunks of
+``_CHUNK_VALUES`` values (2^16, 0.5 MB), the size of its temporaries.  So a
+worker holds one block, the synthesis buffers of one FFT group and a few
+chunk temporaries, whatever ``batch_size`` and ``path_count`` are: a
+tracemalloc peak of 10-13 MB on grids of 2^12 to 2^17 steps, and
+``threads`` workers hold that much each.  ``batch_size`` only bounds the
+paths in one unit of work.  Each n is compensated at its own bandwidth
 ``config.epsilon(n)``: under ``n2h`` it differs per n, and every record of
 ``clt_experiment`` equals ``compensated_functional_Z`` of its path.  The
 kernel integrates in time by ``localtime.trapezoid_prefixes``, whose bits at
@@ -21,7 +29,8 @@ derivative kind's value.
 
 Monte Carlo bytes are deterministic in (config, seed): every path draws
 from its own substream keyed by (seed, path index) and reductions run in
-path order, so the serialized bytes do not depend on the worker count.
+path order, so the serialized bytes do not depend on the worker count, the
+batch size or the blocks.
 Quadrature-derived numbers are written only to the precision their error
 estimate certifies: the supercritical ``a_hat`` is rounded at the decade of
 ``a_hat_error``, so its bytes do not depend on the numerical build either.
@@ -39,11 +48,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
+import os
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, field, fields
 from itertools import combinations, product
 from typing import Iterator, Optional
 
@@ -84,6 +95,21 @@ def _epsilon(policy: str, dt: float, H: float, n: int) -> float:
     raise ValueError(f"unknown eps policy {policy!r}")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the default worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _time(value) -> float:
+    """A ``t_list`` entry as a float; a bool or a non-real value raises."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"t_list times must be real numbers, got "
+                     f"{type(value).__name__} {value!r}")
+
+
 def _integer(name: str, value) -> int:
     """``value`` as ``operator.index`` takes it, a bool excepted."""
     if not isinstance(value, bool) and hasattr(type(value), "__index__"):
@@ -104,7 +130,7 @@ class ExperimentConfig:
     seed: int = 0
     eps_policy: str = "dt2h"
     method: str = "circulant"
-    threads: int = 1
+    threads: int = field(default_factory=_usable_cpus)
     batch_size: int = 256
     cost_guard: float = 2.0 ** 26
     output_path: Optional[str] = None
@@ -114,7 +140,7 @@ class ExperimentConfig:
             object.__setattr__(self, "f", (self.f,))
         object.__setattr__(self, "f", tuple(self.f))
         object.__setattr__(self, "lam", _check_lam(self.lam))
-        object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
+        object.__setattr__(self, "t_list", tuple(map(_time, self.t_list)))
         object.__setattr__(self, "n_ladder", tuple(
             _integer("an n_ladder entry", n) for n in self.n_ladder))
         for name in ("seed", "path_count", "grid_per_unit", "batch_size",
@@ -327,6 +353,9 @@ def _grid_index(t: float, dt: float, n_points: int) -> int:
 
 #: values per row chunk of the functional kernel, the size of its temporaries
 _CHUNK_VALUES = 2 ** 16
+#: values per synthesis block (8 MB): a worker draws its paths in blocks of
+#: this many values, at least one row, and integrates each before the next
+_BLOCK_VALUES = 2 ** 20
 
 
 def _functionals(values: np.ndarray, fs, H: float, lam: float, ns, eps,
@@ -406,15 +435,20 @@ def compensated_functional_Z(path: FbmPath, f: TestFunction, lam: float,
 
 
 def _simulate_batches(config: ExperimentConfig, worker):
-    """Run `worker(start_index, values_matrix)` over path batches, possibly
-    in threads; results must be written into per-path slots by index."""
+    """Run ``worker(start_index, values_matrix)`` over the paths, one block
+    of at most ``_BLOCK_VALUES`` values at a time; each batch of
+    ``batch_size`` paths is one unit of work, possibly on a pool thread.
+    Results must be written into per-path slots by index."""
     M = config.path_count
     bs = config.batch_size
+    rows = min(bs, max(1, _BLOCK_VALUES // (config.grid_points + 1)))
     starts = list(range(0, M, bs))
 
     def run(start):
-        count = min(bs, M - start)
-        worker(start, _batch_values(config, start, count))
+        stop = min(start + bs, M)
+        for block in range(start, stop, rows):
+            worker(block, _batch_values(config, block,
+                                        min(rows, stop - block)))
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -8,10 +8,12 @@ exposes the driving increments needed by the conditional-mean process).
 
 ``sample_values`` is the one synthesis entry point for value matrices; the
 experiments and ``sample_paths`` both call it.  Its circulant method uses the
-half spectrum of the Hermitian embedding and makes one path at a time: the
-per-path draws are those of the earlier full-spectrum construction, so paths
-agree with the previous release to ~1e-14, and synthesis memory is the output
-plus one O(N) buffer.
+half spectrum of the Hermitian embedding and transforms the rows in groups
+of about ``_GROUP_VALUES`` values, one FFT and one cumulative sum per group:
+the per-path draws are those of the earlier full-spectrum construction, so
+paths agree with the previous release to ~1e-14, each row comes out bit for
+bit as a transform of that row alone would give it, and synthesis memory is
+the output plus a few buffers of one group.
 
 The Volterra kernel has the closed form (Decreusefond and Ustunel,
 Potential Analysis 10, 1999)
@@ -48,6 +50,9 @@ _METHODS = ("circulant", "cholesky", "volterra")
 VALUE_METHODS = ("circulant", "cholesky")
 CHOLESKY_MAX_N = 4096
 VOLTERRA_MAX_N = 4096
+#: values per group of rows that one circulant FFT transforms, the size of
+#: its temporaries
+_GROUP_VALUES = 2 ** 16
 
 
 def covariance(H: float, s, t):
@@ -254,11 +259,14 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
     methods in ``VALUE_METHODS`` are served; volterra paths carry their
     Wiener increments and come from ``sample_paths``.
 
-    The circulant method works one path at a time on half the spectrum of
-    the Hermitian embedding (Davies and Harte 1987; Wood and Chan 1994): the
-    2N standard normal draws fill the N+1 nonnegative frequencies, real
-    parts d[0], d[2..N], d[1] and imaginary parts d[N+1..2N-1] (zero at both
-    ends), and a real-output inverse transform gives the N fGn increments.
+    The circulant method works on half the spectrum of the Hermitian
+    embedding (Davies and Harte 1987; Wood and Chan 1994): the 2N standard
+    normal draws fill the N+1 nonnegative frequencies, real parts d[0],
+    d[2..N], d[1] and imaginary parts d[N+1..2N-1] (zero at both ends), and
+    a real-output inverse transform gives the N fGn increments.  Rows go
+    through the transform and the cumulative sum in groups of
+    max(1, ``_GROUP_VALUES`` // (N+1)); both act along each row alone, so a
+    row's bits do not depend on the group it falls in.
     """
     _check_request(H, T, N, count, method)
     if method not in VALUE_METHODS:
@@ -278,15 +286,20 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
         return values
 
     amp = _half_spectrum(H, T, N)
-    buf = np.zeros(N + 1, dtype=complex)   # imaginary ends stay zero
-    re, im = buf.real, buf.imag
-    for i in range(count):
-        d = path_rng(seed, start + i).standard_normal(2 * N)
-        re[0] = d[0] * amp[0]
-        np.multiply(d[2:N + 1], amp[1:N], out=re[1:N])
-        re[N] = d[1] * amp[N]
-        np.multiply(d[N + 1:], amp[1:N], out=im[1:N])
-        np.cumsum(sp_fft.hfft(buf, 2 * N)[:N], out=values[i, 1:])
+    group = min(count, max(1, _GROUP_VALUES // (N + 1)))
+    d = np.empty((group, 2 * N))
+    buf = np.zeros((group, N + 1), dtype=complex)  # imaginary ends stay zero
+    for g in range(0, count, group):
+        rows = min(group, count - g)
+        for i in range(rows):
+            path_rng(seed, start + g + i).standard_normal(out=d[i])
+        re, im = buf.real[:rows], buf.imag[:rows]
+        np.multiply(d[:rows, 0], amp[0], out=re[:, 0])
+        np.multiply(d[:rows, 2:N + 1], amp[1:N], out=re[:, 1:N])
+        np.multiply(d[:rows, 1], amp[N], out=re[:, N])
+        np.multiply(d[:rows, N + 1:], amp[1:N], out=im[:, 1:N])
+        np.cumsum(sp_fft.hfft(buf[:rows], 2 * N, axis=-1)[:, :N], axis=-1,
+                  out=values[g:g + rows, 1:])
     return values
 
 
@@ -298,7 +311,7 @@ def sample_paths(H: float, T: float, N: int, count: int, seed: int,
     circulant draws per path are those of the earlier full-spectrum
     construction, so its paths agree with that release to ~1e-14 (the
     transform's rounding differs), and synthesis memory is the returned
-    values plus one O(N) buffer.
+    values plus the buffers of one group of rows.
     """
     increments = None
     if method != "volterra":

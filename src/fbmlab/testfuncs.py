@@ -185,9 +185,18 @@ def gaussian_derivative(sigma: float = 1.0) -> TestFunction:
                         closed_form_fourier=ft, scale_hint=sigma)
 
 
-def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
+def _check_ends(name: str, a: float, b: float) -> None:
+    """A built-in's support [a, b] needs finite ends with a < b."""
+    for end, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} requires finite ends, got "
+                             f"{end}={value!r}")
     if not b > a:
-        raise ValueError("indicator requires a < b")
+        raise ValueError(f"{name} requires a < b")
+
+
+def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
+    _check_ends("indicator", a, b)
 
     def ev(x):
         return np.where((x >= a) & (x <= b), 1.0, 0.0)
@@ -207,8 +216,7 @@ def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
 
 def hat(a: float = -1.0, b: float = 1.0) -> TestFunction:
     """Triangular bump: 0 at the endpoints, 1 at the midpoint."""
-    if not b > a:
-        raise ValueError("hat requires a < b")
+    _check_ends("hat", a, b)
     c = 0.5 * (a + b)
     w = 0.5 * (b - a)
 
@@ -274,8 +282,7 @@ def poly_bump(a: float = -1.0, b: float = 1.0, k: int = 2) -> TestFunction:
     j_k the spherical Bessel function, evaluated in elementary functions
     (``_poly_bump_profile``) to 1e-12 m0 for k <= 40; above that only the
     numeric transform is offered."""
-    if not b > a:
-        raise ValueError("poly_bump requires a < b")
+    _check_ends("poly_bump", a, b)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("poly_bump requires an integer k >= 1")
     c = 0.5 * (a + b)

@@ -13,6 +13,7 @@ import json
 import math
 
 import numpy as np
+from scipy import fft as sp_fft
 
 # Lanczos approximation, g = 7, 9 coefficients: relative error well below
 # 1e-12 on (0, 3).
@@ -258,6 +259,33 @@ def oracle_circulant_paths(H: float, T: float, N: int, count: int,
     fgn = np.fft.fft(scale[None, :] * Z, axis=1).real[:, :N]
     return np.concatenate([np.zeros((count, 1)), np.cumsum(fgn, axis=1)],
                           axis=1)
+
+
+def oracle_half_spectrum_values(H: float, T: float, N: int, count: int,
+                                seed: int, start: int = 0) -> np.ndarray:
+    """The half-spectrum circulant construction one path at a time: the 2N
+    draws of path start + i fill one (N+1) complex buffer (real parts d[0],
+    d[2..N], d[1], imaginary parts d[N+1..2N-1]) against the amplitudes
+    sqrt(lam_k / 2N), divided by sqrt(2) at 0 < k < N, and one real-output
+    inverse FFT per path gives its fGn increments."""
+    dt = T / N
+    k = np.arange(N + 1, dtype=float)
+    gam = 0.5 * dt ** (2 * H) * ((k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H)
+                                 - 2 * k ** (2 * H))
+    lam = np.fft.fft(np.concatenate([gam, gam[-2:0:-1]])).real[:N + 1]
+    amp = np.sqrt(np.maximum(lam, 0.0) / (2 * N))
+    amp[1:N] /= math.sqrt(2.0)
+    values = np.zeros((count, N + 1))
+    buf = np.zeros(N + 1, dtype=complex)
+    re, im = buf.real, buf.imag
+    for i in range(count):
+        d = np.random.default_rng([seed, start + i]).standard_normal(2 * N)
+        re[0] = d[0] * amp[0]
+        np.multiply(d[2:N + 1], amp[1:N], out=re[1:N])
+        re[N] = d[1] * amp[N]
+        np.multiply(d[N + 1:], amp[1:N], out=im[1:N])
+        np.cumsum(sp_fft.hfft(buf, 2 * N)[:N], out=values[i, 1:])
+    return values
 
 
 def _support_masked(evaluator, a: float, b: float):

@@ -138,6 +138,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} .*must be an integer"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("value", [(True,), (0.5, False), ("1",),
+                                       (None,)])
+    def test_non_real_time_rejected(self, value):
+        # [True] ran at t = 1.0 and was echoed as 1.0
+        with pytest.raises(ValueError, match="t_list times must be real"):
+            small_config(t_list=value)
+
+    def test_threads_default_to_the_usable_cpus(self):
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        cfg = exp.ExperimentConfig(H=0.6)
+        assert cfg.threads == cpus
+        assert exp.ExperimentConfig.from_dict(cfg.to_dict()).threads == cpus
+
     @pytest.mark.parametrize("field, value", [
         ("t_list", (math.inf,)), ("t_list", (0.5, math.nan)),
         ("t_list", (math.nan, 1.0)), ("cost_guard", math.nan)])
@@ -513,6 +527,38 @@ class TestFunctionalKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 20 * (cfg.grid_points + 1) * 8
+
+
+class TestSynthesisBlocks:
+    # at grid 2^14 a block holds 63 rows, so 400 paths take 7 blocks, the
+    # last of 22 rows
+    GRID = 2 ** 14
+    BASE = dict(H=1.0 / 3.0, f=("gaussian_derivative:sigma=1",),
+                t_list=(0.5, 1.0), n_ladder=(4, 16), path_count=400,
+                grid_per_unit=GRID, seed=5)
+
+    def test_peak_memory_is_a_few_blocks_whatever_the_batch(self):
+        # one 400-path batch: its value matrix alone would be 52 MB
+        assert exp._BLOCK_VALUES // (self.GRID + 1) == 63
+        cfg = exp.ExperimentConfig(**self.BASE, batch_size=400, threads=1)
+        exp.clt_experiment(cfg)  # warm the spectrum caches
+        tracemalloc.start()
+        try:
+            exp.clt_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 63 * (self.GRID + 1) * 8
+
+    def test_bytes_do_not_depend_on_batches_or_blocks(self):
+        want = None
+        for batch_size in (1, 7, 63, 64, 400):
+            for threads in (1, 2):
+                got = exp.serialize_report(exp.clt_experiment(
+                    exp.ExperimentConfig(**self.BASE, batch_size=batch_size,
+                                         threads=threads)))
+                want = want or got
+                assert got == want, (batch_size, threads)
 
 
 WRITER_KINDS = {

@@ -266,6 +266,18 @@ class TestHalfSpectrum:
         assert part.tobytes() == whole[3:7].tobytes()
         assert one.tobytes() == whole[3:4].tobytes()
 
+    @pytest.mark.parametrize("N, count, start", [
+        (64, 20000, 3), (4096, 1000, 5), (2 ** 17, 8, 1)])
+    def test_grouped_rows_equal_the_per_row_loop(self, N, count, start):
+        # groups of 1008, 15 and 1 rows: the first two counts end in a
+        # partial group, and start shifts every substream
+        group = max(1, fbm._GROUP_VALUES // (N + 1))
+        assert group == 1 or count % group
+        got = fbm.sample_values(1.0 / 3.0, 1.0, N, count, seed=4, start=start)
+        want = oracles.oracle_half_spectrum_values(1.0 / 3.0, 1.0, N, count,
+                                                   seed=4, start=start)
+        assert np.array_equal(got, want)
+
     def test_synthesis_memory_is_the_output(self):
         # one O(N) buffer set on top of the values, not a (count, 2N)
         # complex batch; the spectrum is built inside the measured call

@@ -247,9 +247,20 @@ class TestCli:
          "t_list times must be finite"),
         ("clt-experiment", b'{"H": 0.6, "cost_guard": NaN}',
          "cost_guard must not be NaN"),
+        ("clt-experiment", b'{"H": 0.6, "t_list": [true]}',
+         "t_list times must be real numbers"),
+        ("clt-experiment", b'{"H": 0.6, "f": ["hat:a=0,b=inf"]}',
+         "hat requires finite ends, got b=inf"),
+        ("clt-experiment",
+         b'{"H": 0.6, "f": ["indicator:a=-inf,b=0"]}',
+         "indicator requires finite ends, got a=-inf"),
+        ("clt-experiment",
+         b'{"H": 0.6, "f": ["poly_bump:a=0,b=inf,k=2"]}',
+         "poly_bump requires finite ends, got b=inf"),
     ], ids=["unknown-key", "list", "wrong-type", "empty-container",
             "lambda-nan", "lambda-str", "lambda-list", "fixed-eps-nan",
-            "grid-float", "grid-bool", "t-inf", "t-nan", "cost-guard-nan"])
+            "grid-float", "grid-bool", "t-inf", "t-nan", "cost-guard-nan",
+            "t-bool", "hat-inf", "indicator-inf", "poly-bump-inf"])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
                                                  command, content, names):
         fn = tmp_path / "input"

@@ -184,6 +184,23 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             tf.from_spec("gaussian_bump:sigma")
 
+    @pytest.mark.parametrize("name", ["indicator", "hat", "poly_bump"])
+    @pytest.mark.parametrize("a, b, end", [
+        (0.0, math.inf, "b=inf"), (-math.inf, 0.0, "a=-inf"),
+        (math.nan, 1.0, "a=nan"), (0.0, math.nan, "b=nan")])
+    def test_infinite_end_rejected(self, name, a, b, end):
+        # hat(a=0,b=inf) was 0.0 at x = 1 with moments (inf, inf)
+        with pytest.raises(ValueError, match=f"{name} requires finite ends, "
+                                             f"got {end}"):
+            tf.BUILTINS[name](a=a, b=b)
+        with pytest.raises(ValueError, match=end):
+            tf.from_spec(f"{name}:a={a},b={b}")
+
+    @pytest.mark.parametrize("name", ["indicator", "hat", "poly_bump"])
+    def test_reversed_ends_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} requires a < b"):
+            tf.BUILTINS[name](a=1.0, b=1.0)
+
     def test_builtins_declare_membership(self):
         for name, factory in tf.BUILTINS.items():
             f = factory()
