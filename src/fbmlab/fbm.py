@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import integrate
 from scipy.special import hyp2f1
 
 from .constants import CRITICAL_TOL, _check_h, beta1
@@ -106,6 +105,8 @@ def mu(H: float, r: float, s: float) -> float:
         return 0.0
     if abs(H - 0.5) <= CRITICAL_TOL:
         return s - r
+    from scipy import integrate
+
     b1, a = beta1(H), H - 0.5
     mid = 0.5 * (r + s)
 
@@ -130,6 +131,7 @@ def conditional_increment_variance(H: float, r: float, t1: float, t2: float) -> 
         raise ValueError("requires 0 <= r <= min(t1, t2)")
     if t1 == t2 or r == 0:
         return 0.0
+    from scipy import integrate
 
     # quadrature nodes lie in (0, r), so 0 < theta < t1, t2 throughout
     def d2(theta):

@@ -49,10 +49,19 @@ class GaussianVectorSpec:
         return self.covariance.shape[0]
 
     def index_of(self, key) -> int:
+        """The index of ``key``: an integer in [0, dim) or one of the
+        labels.  A negative or out-of-range integer raises ``IndexError``,
+        an unknown label ``KeyError``."""
         if isinstance(key, (int, np.integer)):
+            if not 0 <= key < self.dim:
+                raise IndexError(f"index {key} is out of range for "
+                                 f"dimension {self.dim}")
             return int(key)
         if self.labels is None:
-            raise KeyError("spec has no labels; use integer indices")
+            raise KeyError(f"{key!r}: spec has no labels; use integer "
+                           "indices")
+        if key not in self.labels:
+            raise KeyError(f"unknown label {key!r}; labels: {self.labels}")
         return self.labels.index(key)
 
 

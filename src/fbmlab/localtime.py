@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .constants import Regime, _check_h, regime_of
 from .fbm import FbmPath
@@ -272,6 +271,8 @@ def expected_local_time(H: float, t: float, lam: float) -> float:
     lam = _check_lam(lam)
     if t == 0.0:
         return 0.0
+    from scipy import integrate
+
     p = 1.0 / (1.0 - H)
 
     def g(u):

@@ -8,10 +8,12 @@ weights (membership in the space of f with int |f|(1+|x|^w) dx < inf).
 A ``support`` (a, b) states that the evaluator is exactly 0.0 outside
 [a, b]; it is the window of the numeric quadratures, and calls do not mask
 by it.  The built-ins with a support vanish there by their own formulas.
+Without a support the quadratures run over doubling shells around 0 in
+units of ``scale_hint`` (``_integrate``).
 
 Every built-in carries closed-form moments and a closed-form Fourier
 transform (``poly_bump`` up to k = 40); the numeric quadratures serve the
-other functions.
+other functions, and import ``scipy.integrate`` on their first call.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "TestFunction", "weighted_norm", "in_xi", "require_xi", "moments",
@@ -55,43 +56,57 @@ class TestFunction:
                           dtype=float)
 
 
-def _integration_window(f: TestFunction) -> tuple[float, float]:
+#: Without a support, the numeric quadratures integrate over [-r_0, r_0] and
+#: then over the doubling shells r_{k-1} <= |x| <= r_k, r_k = 2^k scale_hint:
+#: always out to shell ``_MIN_SHELLS``, then on until a shell adds at most
+#: ``_SHELL_RTOL`` of the total, and at most out to shell ``_MAX_SHELLS``.
+_MIN_SHELLS, _MAX_SHELLS = 9, 40
+_SHELL_RTOL = 1e-12
+
+
+def _quad(g, lo: float, hi: float, **options) -> float:
+    """Adaptive quadrature of g over [lo, hi].  ``scipy.integrate`` is
+    imported here, on the first call, so importing the package does not
+    load it."""
+    from scipy import integrate
+
+    return integrate.quad(g, lo, hi, **{"limit": 200, **options})[0]
+
+
+def _integrate(f: TestFunction, piece) -> Optional[np.ndarray]:
+    """The sum of ``piece(lo, hi)``, one or more integrals over [lo, hi],
+    over f's support, or else over the doubling shells.  The shells go on
+    while the total is still exactly 0, so mass away from 0 counts wherever
+    it lies, not only near the centre; growth of the inner shells is no
+    sign of divergence.  Returns None, divergence, only when the outermost
+    shell still grows the total.  Mass beyond shell ``_MIN_SHELLS`` once
+    the total has settled is missed, as is a feature far narrower than its
+    shell; such a function needs a support."""
     if f.support is not None:
-        return f.support
-    # doubling-domain probe: grow until the weighted mass stops moving
-    return (-512.0 * f.scale_hint, 512.0 * f.scale_hint)
+        return np.asarray(piece(*f.support), dtype=float)
+    r = f.scale_hint
+    total = np.asarray(piece(-r, r), dtype=float)
+    for k in range(1, _MAX_SHELLS + 1):
+        r_in, r = r, 2.0 * r
+        inc = np.add(piece(r_in, r), piece(-r, -r_in))
+        total = total + inc
+        settled = np.abs(inc).max() <= _SHELL_RTOL * np.abs(total).max()
+        if settled and k >= _MIN_SHELLS and total.any():
+            return total
+    return total if settled else None
 
 
 def weighted_norm(f: TestFunction, w: float) -> float:
-    """int |f(x)| (1 + |x|^w) dx; returns math.inf when the doubling-domain
-    growth test flags divergence."""
+    """int |f(x)| (1 + |x|^w) dx; math.inf when the doubling shells find it
+    divergent."""
     if w <= 0:
         raise ValueError("weight exponent must be positive")
 
     def g(x):
         return np.abs(f(x)) * (1.0 + np.abs(x) ** w)
 
-    if f.support is not None:
-        a, b = f.support
-        val, _ = integrate.quad(g, a, b, limit=200)
-        return val
-    # doubling domains [-R, R], R = scale * 2^k
-    total = 0.0
-    prev_inc = None
-    R_prev = 0.0
-    for k in range(0, 18):
-        R = f.scale_hint * 2.0 ** k
-        inc_pos, _ = integrate.quad(g, R_prev, R, limit=200)
-        inc_neg, _ = integrate.quad(g, -R, -R_prev, limit=200)
-        inc = inc_pos + inc_neg
-        if prev_inc is not None and inc > prev_inc and inc > 1e-12 * max(total, 1.0):
-            return math.inf  # shell mass growing: divergent
-        if total > 0 and inc < 1e-12 * total:
-            return total + inc
-        total += inc
-        prev_inc = inc
-        R_prev = R
-    return total if (prev_inc or 0.0) < 1e-9 * max(total, 1.0) else math.inf
+    total = _integrate(f, lambda lo, hi: _quad(g, lo, hi))
+    return math.inf if total is None else float(total)
 
 
 def in_xi(f: TestFunction, w: float) -> bool:
@@ -114,10 +129,11 @@ def moments(f: TestFunction) -> tuple[float, float]:
     if f.closed_form_moments is not None:
         return f.closed_form_moments
     require_xi((f,), 1.0, " (moments undefined)")
-    a, b = _integration_window(f)
-    m0, _ = integrate.quad(f, a, b, limit=200)
-    m1, _ = integrate.quad(lambda x: x * f(x), a, b, limit=200)
-    return m0, m1
+    total = _integrate(f, lambda lo, hi: (
+        _quad(f, lo, hi), _quad(lambda x: x * f(x), lo, hi)))
+    if total is None:
+        raise ValueError(f"{f.label}: moments do not converge")
+    return float(total[0]), float(total[1])
 
 
 def fourier(f: TestFunction, eta) -> complex | np.ndarray:
@@ -139,14 +155,18 @@ def _fourier_numeric(f: TestFunction, eta: float) -> complex:
     sign = 1.0
     if eta < 0:
         eta, sign = -eta, -1.0
-    a, b = _integration_window(f)
     if eta * f.scale_hint <= 8.0:
-        re, _ = integrate.quad(lambda x: f(x) * np.cos(eta * x), a, b, limit=200)
-        im, _ = integrate.quad(lambda x: f(x) * np.sin(eta * x), a, b, limit=200)
+        def piece(lo, hi):
+            return (_quad(lambda x: f(x) * np.cos(eta * x), lo, hi),
+                    _quad(lambda x: f(x) * np.sin(eta * x), lo, hi))
     else:
-        re, _ = integrate.quad(f, a, b, weight="cos", wvar=eta, limit=400)
-        im, _ = integrate.quad(f, a, b, weight="sin", wvar=eta, limit=400)
-    return complex(re, sign * im)
+        def piece(lo, hi):
+            return (_quad(f, lo, hi, weight="cos", wvar=eta, limit=400),
+                    _quad(f, lo, hi, weight="sin", wvar=eta, limit=400))
+    total = _integrate(f, piece)
+    if total is None:
+        raise ValueError(f"{f.label}: Fourier integral does not converge")
+    return complex(total[0], sign * total[1])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,26 @@ class TestSpec:
         assert spec.labels == ("B(0.5)", "B(1)")
         assert spec.index_of("B(1)") == 1
 
+    def test_unknown_label_names_key_and_labels(self):
+        spec = g.fbm_vector_spec(0.5, [0.5, 1.0])
+        with pytest.raises(KeyError, match=r"'B\(2\)'.*'B\(0\.5\)', 'B\(1\)'"):
+            spec.index_of("B(2)")
+        with pytest.raises(KeyError, match="B\\(2\\)"):
+            g.conditional_variance(spec, "B(2)", [])
+        unlabelled = g.GaussianVectorSpec(np.eye(2))
+        with pytest.raises(KeyError, match="no labels"):
+            unlabelled.index_of("x")
+
+    @pytest.mark.parametrize("index", [-1, 2, np.int64(-2), 10])
+    def test_out_of_range_index_refused(self, index):
+        spec = g.fbm_vector_spec(0.5, [0.5, 1.0])
+        with pytest.raises(IndexError, match="out of range"):
+            spec.index_of(index)
+        with pytest.raises(IndexError):
+            g.conditional_variance(spec, index, [])
+        with pytest.raises(IndexError):
+            g.conditional_variance(spec, 0, [index])
+
 
 class TestConditionalVariance:
     def test_independent_target_unchanged(self):

@@ -183,6 +183,27 @@ class TestAOneThird:
             A13_PRINTED * tf.moments(f)[1] * tf.moments(g)[1], rel=5e-3)
         assert calls == []
 
+    def test_printed_rule_against_adaptive_quadrature(self):
+        # the same integrand as the rule, in u with s = u^6, adaptively
+        H = 1.0 / 3.0
+        b2, b3_scale = cst.beta2(H), (H - 0.5) ** -2
+        adaptive, _ = integrate.quad(
+            lambda u: 6.0 * u ** 4 * (b2 * (1.0 + u ** 4) + b3_scale
+                                      * cst.beta3(H, u ** 6, 1.0)) ** -2.5,
+            0.0, 1.0, epsrel=1e-13, limit=200)
+        assert limits._printed_profile_integral() == pytest.approx(
+            adaptive, rel=1e-13)
+
+    def test_printed_rule_converged_in_order(self, monkeypatch):
+        rule = limits._printed_profile_integral()
+        monkeypatch.setattr(limits, "_PRINTED_ORDER", 64)
+        limits._printed_profile_integral.cache_clear()
+        try:
+            assert limits._printed_profile_integral() == pytest.approx(
+                rule, rel=1e-13)
+        finally:
+            limits._printed_profile_integral.cache_clear()
+
     def test_unknown_convention(self):
         with pytest.raises(ValueError):
             limits.a_one_third(GD, GD, convention="other")
@@ -282,13 +303,73 @@ class TestCovarianceMatrix:
             limits.covariance_matrix([GD, tf.poly_bump(k=41)], 0.6)
 
 
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports fbmlab from the
+    sources under test; returns its standard output."""
+    src = os.path.dirname(os.path.dirname(limits.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
+def test_experiment_paths_leave_integrate_unloaded():
+    # only the adaptive quadratures import scipy.integrate, on first call;
+    # the import, the experiments, the limit constants and the CLI's
+    # constants need none
+    code = """
+import sys
+loaded = lambda: 'scipy.integrate' in sys.modules
+import fbmlab
+from fbmlab import experiments as exp, limits, testfuncs as tf
+seen = [('import', loaded())]
+small = dict(t_list=(1.0,), n_ladder=(4, 8), path_count=2,
+             grid_per_unit=64, seed=0, batch_size=2, threads=1)
+exp.clt_experiment(exp.ExperimentConfig(
+    H=1 / 3, f=('gaussian_derivative:sigma=1',), **small))
+seen.append(('clt_experiment', loaded()))
+exp.derivative_experiment(exp.ExperimentConfig(
+    H=0.25, f=('gaussian_bump:sigma=1,center=0.5',), **small))
+seen.append(('derivative_experiment', loaded()))
+fs = [tf.gaussian_derivative(1.0), tf.poly_bump(), tf.hat()]
+limits.covariance_matrix(fs, 0.6)
+limits.covariance_matrix(fs[::2], 1 / 3)
+seen.append(('covariance_matrix', loaded()))
+sys.argv = ['fbmlab', 'constants', '--H', '0.3']
+import runpy
+try:
+    runpy.run_module('fbmlab.cli', run_name='__main__', alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+seen.append(('cli constants', loaded()))
+print(seen)
+"""
+    out = _fresh_interpreter(code).strip().splitlines()[-1]
+    assert out == str([(step, False) for step in (
+        "import", "clt_experiment", "derivative_experiment",
+        "covariance_matrix", "cli constants")])
+
+
+@pytest.mark.parametrize("call, expect", [
+    ("fbm.mu(0.3, 0.0, 1.0)", "1.0"),
+    ("localtime.expected_local_time(0.5, 1.0, 0.0)", "math.sqrt(2 / math.pi)"),
+    ("tf.moments(tf.TestFunction(lambda x: np.exp(-x * x / 2) "
+     "/ math.sqrt(2 * math.pi), 'density'))[0]", "1.0")])
+def test_adaptive_quadratures_load_integrate_on_demand(call, expect):
+    code = f"""
+import math, sys
+import numpy as np
+from fbmlab import fbm, localtime, testfuncs as tf
+before = 'scipy.integrate' in sys.modules
+value = {call}
+print(before, 'scipy.integrate' in sys.modules, abs(value - {expect}) < 1e-10)
+"""
+    assert _fresh_interpreter(code).strip().splitlines()[-1] == \
+        "False True True"
+
+
 def test_import_loads_no_interpolation_module():
     # every a_h profile is a closed form, so nothing needs scipy.interpolate
     # (about 30 modules) at import time
-    src = os.path.dirname(os.path.dirname(limits.__file__))
     code = ("import sys, fbmlab; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] == ['scipy', 'interpolate']))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(code).strip() == "[]"

@@ -166,6 +166,47 @@ class TestFourier:
             assert fd.imag == pytest.approx(m1, rel=1e-4, abs=1e-8)
 
 
+class TestOffCentreMass:
+    """Functions without support or closed forms whose mass sits away from
+    0: the numeric fallbacks integrate over doubling shells around 0."""
+
+    CENTRES = [3.3, 57.1, 300.7]
+
+    @staticmethod
+    def density(c):
+        return tf.TestFunction(
+            lambda x: np.exp(-(x - c) ** 2 / 2) / math.sqrt(2 * math.pi),
+            f"density-at-{c:g}")
+
+    @pytest.mark.parametrize("c", CENTRES)
+    def test_moments_of_shifted_density(self, c):
+        m0, m1 = tf.moments(self.density(c))
+        assert m0 == pytest.approx(1.0, rel=1e-8)
+        assert m1 == pytest.approx(c, rel=1e-8)
+
+    @pytest.mark.parametrize("c", CENTRES)
+    def test_first_moment_of_shifted_derivative(self, c):
+        f = tf.TestFunction(
+            lambda x: -(x - c) * np.exp(-(x - c) ** 2 / 2)
+            / math.sqrt(2 * math.pi), f"derivative-at-{c:g}")
+        m0, m1 = tf.moments(f)
+        assert abs(m0) < 1e-8
+        assert m1 == pytest.approx(-1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("c", CENTRES)
+    def test_fourier_at_zero_is_mass(self, c):
+        assert tf.fourier(self.density(c), 0.0) == pytest.approx(1.0,
+                                                                 rel=1e-8)
+
+    @pytest.mark.parametrize("c", CENTRES)
+    def test_weighted_norm_finite(self, c):
+        # int phi(x - c) (1 + |x|) dx = 1 + E|c + X|, X standard normal
+        mean_abs = c * math.erf(c / math.sqrt(2)) \
+            + 2 * math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
+        norm = tf.weighted_norm(self.density(c), 1.0)
+        assert norm == pytest.approx(1.0 + mean_abs, rel=1e-8)
+
+
 class TestSpecParsing:
     def test_round_trip_examples(self):
         f = tf.from_spec("gaussian_derivative:sigma=2")
