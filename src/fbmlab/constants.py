@@ -14,22 +14,24 @@ c = 1 - x and a = H - 1/2, it is a prefactor times hi^{2H} J(x), where
 J is evaluated in one of two ways, chosen from x alone:
 
 * c > 1/2:  J = -(1 - 2 2F1(-2H, 1/2-H; 1-2H; c) + x^{2H}) / (2H), taken
-  through Gauss's connection formula to 2F1 at x <= 1/2, where its series
+  through Gauss's connection formula to 2F1 at x < 1/2, where its series
   converges geometrically:
 
       2H J = 2P c^{2H} - 1 - x^{2H}
              + 4H/(H+1/2) x^{H+1/2} 2F1(1, 1/2-H; H+3/2; x),
       P = Gamma(1-H) Gamma(H+1/2) / (4^H sqrt(pi));
 
-  (evaluated at c, scipy's 2F1 is ~20x slower on the x -> 0 nodes of
-  ``limits.a_h`` and less accurate near H = 1/2);
+  the 2F1 at x is summed as its power series (``_beta3_far_2f1``; every
+  term is at most x^k, so 64 terms leave less than 2^-62), and the Gamma
+  values come from ``math.gamma``;
 * c <= 1/2: J = sum_{k=2}^{64} b_k c^k / (k - 2H), with b = u * u and u the
   Taylor coefficients of 1 - (1-r)^a.  The closed form cancels O(1) terms
   near the diagonal x -> 1 (5e-6 relative at x = 0.9999, H = 0.25); the
   series does not, and the terms it drops carry c^65 <= 2^-65.
 
 At H = 1/2 the H -> 1/2 limit (``Beta3Mode.LIMIT``) is
-2(1-x) Li2(1-x) - x log^2 x, via ``scipy.special.spence``.
+2(1-x) Li2(1-x) - x log^2 x, via ``scipy.special.spence``, which that
+branch imports when it runs; nothing else here needs scipy.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma, hyp2f1, spence
 
 #: |H - 1/3| below this is treated as the critical point, and |H - 1/2|
 #: below it as standard Brownian motion.
@@ -77,11 +78,11 @@ def c_h(H: float) -> float:
     if abs(H - 0.5) <= CRITICAL_TOL:
         return 1.0
     if H > 0.5:
-        num = H * (2 * H - 1) * _gamma(1.5 - H)
-        den = _gamma(2 - 2 * H) * _gamma(H - 0.5)
+        num = H * (2 * H - 1) * math.gamma(1.5 - H)
+        den = math.gamma(2 - 2 * H) * math.gamma(H - 0.5)
     else:
-        num = 2 * H * _gamma(1.5 - H)
-        den = (1 - 2 * H) * _gamma(1 - 2 * H) * _gamma(H + 0.5)
+        num = 2 * H * math.gamma(1.5 - H)
+        den = (1 - 2 * H) * math.gamma(1 - 2 * H) * math.gamma(H + 0.5)
     return math.sqrt(num / den)
 
 
@@ -138,6 +139,17 @@ def _beta3_series(H: float) -> np.ndarray:
     return np.convolve(u, u)[:k.size] / (k - 2 * H)
 
 
+def _beta3_far_2f1(H: float, x: np.ndarray) -> np.ndarray:
+    """2F1(1, 1/2-H; H+3/2; x) for 0 <= x < 1/2: the power series
+    sum_k (1/2-H)_k / (H+3/2)_k x^k to _BETA3_SERIES_TERMS terms, by Horner.
+    Every ratio (1/2-H+j) / (H+3/2+j) lies in (-1, 1), so term k is at most
+    x^k < 2^-k and the terms dropped sum below 2^-62 of the value."""
+    j = np.arange(_BETA3_SERIES_TERMS - 1)
+    ratios = (0.5 - H + j) / (H + 1.5 + j)
+    coef = np.concatenate([[1.0], np.cumprod(ratios)])
+    return np.polynomial.polynomial.polyval(x, coef)
+
+
 def _beta3_raw(H: float, x: np.ndarray) -> np.ndarray:
     """J(x) for 0 <= x <= 1: the 2F1 form for c = 1 - x > 1/2, the series
     near the diagonal (see the module docstring)."""
@@ -145,10 +157,11 @@ def _beta3_raw(H: float, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(c)
     far = c > 0.5
     cf, xf, cn = c[far], x[far], c[~far]
-    p = _gamma(1 - H) * _gamma(H + 0.5) / (4.0 ** H * math.sqrt(math.pi))
+    p = (math.gamma(1 - H) * math.gamma(H + 0.5)
+         / (4.0 ** H * math.sqrt(math.pi)))
     out[far] = (2 * p * cf ** (2 * H) - 1.0 - xf ** (2 * H)
                 + 4 * H / (H + 0.5) * xf ** (H + 0.5)
-                * hyp2f1(1.0, 0.5 - H, H + 1.5, xf)) / (2 * H)
+                * _beta3_far_2f1(H, xf)) / (2 * H)
     out[~far] = cn * cn * np.polynomial.polynomial.polyval(cn, _beta3_series(H))
     return out
 
@@ -187,6 +200,8 @@ def beta3(H: float, s1, s2, mode: Beta3Mode = Beta3Mode.ZERO):
     elif mode is Beta3Mode.ZERO:
         out = np.zeros_like(hi)
     else:
+        from scipy.special import spence
+
         # Li2(1-x) = spence(x); x log^2 x -> 0 at x = 0
         logx = np.log(np.where(x > 0, x, 1.0))
         out = hi * (2.0 * (1.0 - x) * spence(x) - x * logx * logx)

@@ -46,6 +46,7 @@ f, n, t, path.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
@@ -642,7 +643,9 @@ def _record_blocks(per_path: PerPath, fields, template, nonfinite: dict,
     """The text of each block of records at one (f, n, t), in record order,
     joined by ``sep``.  ``template(label, n, t)`` is a %-format with one
     ``%s`` per name in ``fields`` ("path" or a column key).  A column that
-    does not depend on f is formatted once per (n, t)."""
+    does not depend on f is formatted once per (n, t) and kept as one
+    space-joined str (no repr holds a space): kept as a list, its small strs
+    would hold about 40% of a report's bytes until the last f."""
     paths = list(map(str, range(per_path.shape[-1])))
     shared: dict = {}
     for (i_f, label), (i_n, n), (i_t, t) in product(
@@ -657,9 +660,9 @@ def _record_blocks(per_path: PerPath, fields, template, nonfinite: dict,
                                     nonfinite))
             else:
                 if (k, i_n, i_t) not in shared:
-                    shared[k, i_n, i_t] = _reprs(
-                        per_path.block(k, i_f, i_n, i_t), nonfinite)
-                texts.append(shared[k, i_n, i_t])
+                    shared[k, i_n, i_t] = " ".join(_reprs(
+                        per_path.block(k, i_f, i_n, i_t), nonfinite))
+                texts.append(shared[k, i_n, i_t].split(" "))
         yield sep.join(map(template(label, n, t).__mod__, zip(*texts)))
 
 
@@ -700,10 +703,17 @@ def serialize_report(report: ExperimentReport, fmt: str = "json") -> bytes:
         }
         head = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         # "per_path" sorts after every other top-level key, so the records
-        # close the object
-        blocks = [b.encode() for b in _json_records(report.per_path)]
-        return b"".join([head[:-1].encode(), b',"per_path":[',
-                         b",".join(blocks), b"]}\n"])
+        # close the object; each block goes into the one buffer as it is
+        # formatted
+        out = io.BytesIO()
+        out.write(head[:-1].encode() + b',"per_path":[')
+        sep = b""
+        for block in _json_records(report.per_path):
+            out.write(sep)
+            out.write(block.encode())
+            sep = b","
+        out.write(b"]}\n")
+        return out.getvalue()
     if fmt == "csv":
         keys = _COLUMNS[report.kind]
         lines = [",".join(["path,f,n,t,value", *keys[1:]]),

@@ -12,13 +12,22 @@ order with one Fourier profile per function (``a_h`` is one pair), taken
 from the function's closed-form transform; ``a_h`` and
 ``covariance_matrix`` refuse a function without one.
 
-Nothing here loads ``scipy.integrate``.  The only adaptive quadratures in
-the package are ``fbm.mu``, ``fbm.conditional_increment_variance``,
-``localtime.expected_local_time`` and the numeric fallbacks of ``testfuncs``
-(``weighted_norm``, and ``moments`` and ``fourier`` of a function without
-closed forms); each imports it on its first call.  So ``a_one_third`` of a
-function without closed-form moments, or ``require_xi`` of one whose
-declared class is too small, loads it too.
+Nothing here loads scipy, and neither does ``import fbmlab``: path
+synthesis uses ``numpy.fft`` and ``constants`` sums its series itself.  The
+package imports scipy only where a call needs it, on that call:
+
+  * ``scipy.integrate``: the adaptive quadratures ``fbm.mu``,
+    ``fbm.conditional_increment_variance``,
+    ``localtime.expected_local_time`` and the numeric fallbacks of
+    ``testfuncs`` (``weighted_norm``, and ``moments`` and ``fourier`` of a
+    function without closed forms).  So ``a_one_third`` of a function
+    without closed-form moments, or ``require_xi`` of one whose declared
+    class is too small, loads it too;
+  * ``scipy.special``: the Volterra kernel's ``hyp2f1`` (``fbm``'s
+    ``volterra_kernel``, ``mu``, ``conditional_increment_variance``,
+    ``conditional_mean_path`` and the volterra method, and so
+    ``fbmlab kernel``) and ``spence`` in ``beta3`` at H = 1/2 with
+    ``Beta3Mode.LIMIT``.
 
 Normalization notes (validated against exact second-moment quadrature of
 the functionals, and against the classical Brownian constant 4*int F^2 at

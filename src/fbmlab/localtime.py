@@ -64,11 +64,28 @@ def _check_lam(lam) -> float:
     raise ValueError(f"lambda must be a finite real number, got {lam!r}")
 
 
+#: exp(a) rounds to 0.0 for every a below this (the smallest subnormal is
+#: exp(-744.44), and exp(-745.14) already rounds down to 0.0)
+_EXP_ZERO_BELOW = -746.0
+
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    """``np.exp(a)`` bit for bit, without computing the lanes that
+    underflow: numpy's exp takes a slow path below about -708, and on
+    narrow bandwidths a third of the heat-kernel arguments lie there.  The
+    masked exp runs at about half the speed of the plain one on the other
+    lanes, so it is used only when some lane underflows.  A NaN fails
+    ``a < cut`` and so still gives NaN."""
+    if not a.min(initial=0.0) < _EXP_ZERO_BELOW:
+        return np.exp(a)
+    return np.exp(a, out=np.zeros(a.shape), where=~(a < _EXP_ZERO_BELOW))
+
+
 def heat_kernel(eps: float, x):
     """Centered Gaussian density of variance eps."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
-    out = np.exp(-x * x / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
+    out = _exp(-x * x / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
     return float(out) if out.ndim == 0 else out
 
 
@@ -76,7 +93,7 @@ def heat_kernel_prime(eps: float, x):
     """x-derivative of the heat kernel: -(x/eps) * p_eps(x)."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
-    out = -(x / eps) * np.exp(-x * x / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
+    out = -(x / eps) * _exp(-x * x / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
     return float(out) if out.ndim == 0 else out
 
 

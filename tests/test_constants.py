@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import hyp2f1
 
 from fbmlab import constants as cst
 from fbmlab.constants import Beta3Mode, HurstConfig, Regime
@@ -17,6 +19,31 @@ C_H_025 = 0.645998003740752
 # digits; the earlier Romberg-oracle pin 0.03517736976811707 was 6.3e-12
 # relative above it
 BETA3_06_1_0 = 0.035177369767896427
+
+
+def mp_c_h(H):
+    """c_h at 40 digits, from the same Gamma-function formula."""
+    with mpmath.workdps(40):
+        H = mpmath.mpf(H)
+        if H > 0.5:
+            sq = (H * (2 * H - 1) * mpmath.gamma(1.5 - H)
+                  / (mpmath.gamma(2 - 2 * H) * mpmath.gamma(H - 0.5)))
+        else:
+            sq = (2 * H * mpmath.gamma(1.5 - H) / ((1 - 2 * H)
+                  * mpmath.gamma(1 - 2 * H) * mpmath.gamma(H + 0.5)))
+        return mpmath.sqrt(sq)
+
+
+def mp_beta3(H, x):
+    """beta3(H, x, 1) at 40 digits, through J(x) = -(1 - 2 2F1(-2H, 1/2-H;
+    1-2H; 1-x) + x^{2H}) / (2H) evaluated at c = 1 - x itself (the code
+    goes through the connection formula or a series instead)."""
+    with mpmath.workdps(40):
+        H, x = mpmath.mpf(H), mpmath.mpf(x)
+        J = -(1 - 2 * mpmath.hyp2f1(-2 * H, 0.5 - H, 1 - 2 * H, 1 - x)
+              + x ** (2 * H)) / (2 * H)
+        pre = mp_c_h(H) ** 2 / ((H - 0.5) ** 2 if H > 0.5 else 1)
+        return float(pre * J)
 
 
 class TestCH:
@@ -50,6 +77,12 @@ class TestCH:
         for bad in (0.0, 1.0, -0.3, 2.0):
             with pytest.raises(ValueError):
                 cst.c_h(bad)
+
+    def test_matches_mpmath(self):
+        Hs = np.concatenate([np.random.default_rng(2).uniform(0.01, 0.99, 200),
+                             [0.001, 0.5 - 1e-6, 0.5 + 1e-6, 0.999]])
+        for H in Hs:
+            assert cst.c_h(H) == pytest.approx(float(mp_c_h(H)), rel=1e-15)
 
 
 class TestBetas:
@@ -147,6 +180,36 @@ class TestBeta3:
             lead = cst._beta3_prefactor(H) * a * a * c * c / (2 - 2 * H)
             assert val > 0.0
             assert val == pytest.approx(lead, rel=1e-5)
+
+    # the H set of the beta3 docstring, and its grid of x = lo/hi
+    DOC_HS = (0.05, 0.1, 0.25, 1 / 3, 0.55, 0.6, 0.75, 0.95)
+    DOC_XS = np.concatenate([[0.0], np.logspace(-12, -1, 12),
+                             np.linspace(0.1, 0.9, 17),
+                             1.0 - np.logspace(-1, -7, 13)])
+
+    @pytest.mark.parametrize("H", DOC_HS + (0.45,))
+    def test_matches_mpmath_at_the_stated_error(self, H):
+        # 2.2e-13 on the stated H set; 9e-13 at H = 0.45, where the 2F1
+        # branch cancels towards H = 1/2
+        rel = 9e-13 if H == 0.45 else 2.2e-13
+        got = cst.beta3(H, self.DOC_XS, 1.0)
+        for g, x in zip(got, self.DOC_XS):
+            assert g == pytest.approx(mp_beta3(H, x), rel=rel), x
+
+    @pytest.mark.parametrize("H", (0.05, 0.25, 1 / 3, 0.45, 0.55, 0.6, 0.75,
+                                   0.95))
+    def test_far_branch_series_matches_hyp2f1(self, H):
+        # the far branch needs 2F1(1, 1/2-H; H+3/2; x) at 0 <= x < 1/2 only;
+        # its series is within 2 ulp of a 40-digit value, while scipy's
+        # hyp2f1 is itself up to 1.2e-15 off there
+        x = np.linspace(0.0, 0.5, 401)[:-1]
+        got = cst._beta3_far_2f1(H, x)
+        with mpmath.workdps(40):
+            want = [float(mpmath.hyp2f1(1, 0.5 - mpmath.mpf(H),
+                                        mpmath.mpf(H) + 1.5, xi)) for xi in x]
+        np.testing.assert_allclose(got, want, rtol=4.5e-16, atol=0)
+        np.testing.assert_allclose(got, hyp2f1(1.0, 0.5 - H, H + 1.5, x),
+                                   rtol=2e-15, atol=0)
 
     def test_half_default_is_zero(self):
         assert cst.beta3(0.5, 2.0, 1.0) == 0.0

@@ -607,6 +607,31 @@ class TestPerPathColumns:
                       if fmt == "json" else (b",nan", b",inf", b",-inf"))
             assert all(tok in data for tok in tokens)
 
+    def test_json_writer_memory_is_the_output(self):
+        # 3 functions x 5 scales x 4 times x 2000 paths, as a derivative
+        # ladder writes them: each block goes into the one output buffer as
+        # it is formatted, so nothing near a second copy is ever held
+        small = exp.derivative_experiment(exp.ExperimentConfig(
+            H=0.25, f=("gaussian_bump:sigma=1,center=0.5", "hat:a=-1,b=1",
+                       "indicator:a=0,b=1"),
+            t_list=(0.25, 0.5, 0.75, 1.0), n_ladder=(16, 64, 256, 1024, 4096),
+            path_count=2, grid_per_unit=64, seed=11, batch_size=2))
+        rng = np.random.default_rng(0)
+        columns = {k: rng.standard_normal(a.shape[:-1] + (2000,))
+                   for k, a in small.per_path.columns.items()}
+        rep = dataclasses.replace(
+            with_columns(small, columns),
+            config=dataclasses.replace(small.config, path_count=2000))
+        tracemalloc.start()
+        try:
+            data = exp.serialize_report(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) > 15_000_000
+        assert peak < 1.5 * len(data)
+        assert data == oracles.oracle_serialize_report(rep)
+
     def test_records_equal_the_oracle_records(self, report):
         records = oracles.oracle_records(report)
         pp = report.per_path

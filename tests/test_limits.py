@@ -312,13 +312,14 @@ def _fresh_interpreter(code: str) -> str:
                           capture_output=True, text=True, timeout=300).stdout
 
 
-def test_experiment_paths_leave_integrate_unloaded():
-    # only the adaptive quadratures import scipy.integrate, on first call;
-    # the import, the experiments, the limit constants and the CLI's
-    # constants need none
+def test_experiment_paths_leave_scipy_unloaded():
+    # scipy is imported only by the adaptive quadratures and the special
+    # functions without a cheap replacement, each on its first call; the
+    # import, the experiments, the limit constants and the CLI's constants
+    # need none of it
     code = """
 import sys
-loaded = lambda: 'scipy.integrate' in sys.modules
+loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)
 import fbmlab
 from fbmlab import experiments as exp, limits, testfuncs as tf
 seen = [('import', loaded())]
@@ -362,6 +363,26 @@ from fbmlab import fbm, localtime, testfuncs as tf
 before = 'scipy.integrate' in sys.modules
 value = {call}
 print(before, 'scipy.integrate' in sys.modules, abs(value - {expect}) < 1e-10)
+"""
+    assert _fresh_interpreter(code).strip().splitlines()[-1] == \
+        "False True True"
+
+
+@pytest.mark.parametrize("call, expect", [
+    # K_H(2, 1) at H = 0.3, a 40-digit evaluation of its defining integral
+    ("fbm.volterra_kernel(0.3, 2.0, 1.0)", "0.7600029290029944"),
+    ("fbm.mu(0.3, 0.0, 1.0)", "1.0"),
+    # int_0^inf log^2(th/(th+1)) dth = pi^2/3
+    ("constants.beta3(0.5, 0.0, 1.0, mode=constants.Beta3Mode.LIMIT)",
+     "math.pi ** 2 / 3")])
+def test_special_functions_load_scipy_special_on_demand(call, expect):
+    code = f"""
+import math, sys
+from fbmlab import constants, fbm
+before = 'scipy.special' in sys.modules
+value = {call}
+print(before, 'scipy.special' in sys.modules,
+      math.isclose(value, {expect}, rel_tol=1e-10))
 """
     assert _fresh_interpreter(code).strip().splitlines()[-1] == \
         "False True True"

@@ -49,6 +49,30 @@ class TestHeatKernel:
             with pytest.raises(ValueError, match="positive and finite"):
                 kernel(eps, 1.0)
 
+    @pytest.mark.parametrize("a", [
+        np.linspace(-1e5, 0.0, 200_001),
+        np.linspace(-746.0, -708.0, 100_001),     # underflow and subnormals
+        np.array([np.nextafter(-746.0, 0.0), -746.0, -745.2, -745.1, -0.0,
+                  0.0, np.inf, -np.inf, np.nan, 1.0]),
+        np.linspace(-745.0, 5.0, 10_001),         # no lane underflows
+        np.array([np.nan, -1e4]),
+        np.empty(0),
+    ], ids=["wide", "subnormal-band", "edges", "no-underflow", "nan-first",
+            "empty"])
+    def test_exp_is_bitwise_numpy_exp(self, a):
+        got, want = lt._exp(a), np.exp(a)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_kernels_are_bitwise_the_plain_formulas(self):
+        x = np.concatenate([np.linspace(-3.0, 3.0, 60_001), [np.nan]])
+        for eps in (1e-3, 0.5 ** 20, 1.0):
+            e, norm = np.exp(-x * x / (2.0 * eps)), math.sqrt(2 * math.pi * eps)
+            assert np.array_equal(lt.heat_kernel(eps, x), e / norm,
+                                  equal_nan=True)
+            assert np.array_equal(lt.heat_kernel_prime(eps, x),
+                                  -(x / eps) * e / norm, equal_nan=True)
+        assert lt.heat_kernel(1e-6, 1.0) == 0.0
+
 
 B = lt._BLOCK
 
