@@ -9,18 +9,22 @@ expansion against the local-time derivative in the rough regime H < 1/3.
 
 Both experiments and the two single-path functions call one kernel,
 ``_functionals``, which evaluates f(n^H (B - lam)) and the mollified local
-time along the rows of a value matrix.  Memory follows a two-level rule.
-An experiment draws its paths in blocks of at most ``_BLOCK_VALUES`` values
-(2^20, 8 MB; at least one row), and the kernel integrates each block before
-the next is drawn.  Inside a block the kernel walks row chunks of
-``_CHUNK_VALUES`` values (2^16, 0.5 MB), the size of its temporaries.  So a
-worker holds one block, the synthesis buffers of one FFT group and a few
-chunk temporaries, whatever ``batch_size`` and ``path_count`` are: a
-tracemalloc peak of 10-13 MB on grids of 2^12 to 2^17 steps, and
-``threads`` workers hold that much each.  ``batch_size`` only bounds the
-paths in one unit of work.  Each n is compensated at its own bandwidth
-``config.epsilon(n)``: under ``n2h`` it differs per n, and every record of
-``clt_experiment`` equals ``compensated_functional_Z`` of its path.  The
+time along the rows of a value matrix.  Memory has one unit, the FFT group
+of synthesis (``fbm.group_rows``: about 2^16 values, 0.5 MB, at least one
+row).  Each batch of ``batch_size`` paths allocates its buffers once: the
+synthesis buffers of one group (``fbm.SynthesisBuffers``: the value rows,
+the draws and the half spectrum) and the kernel's scratch (B - lam,
+n^H (B - lam) and the heat-kernel values), eight group-sized matrices in
+all.  It then draws one group into them, integrates it, and draws the next,
+so no group maps fresh memory for its buffers.  A worker holds those
+buffers and the evaluation temporaries of one group, whatever
+``batch_size`` and ``path_count`` are: a tracemalloc peak of 4-11 MB on
+grids of 2^12 to 2^17 steps, and ``threads`` workers hold that much each.
+``batch_size`` only bounds the paths in one unit of work.
+
+Each n is compensated at its own bandwidth ``config.epsilon(n)``: under
+``n2h`` it differs per n, and every record of ``clt_experiment`` equals
+``compensated_functional_Z`` of its path.  The
 kernel integrates in time by ``localtime.trapezoid_prefixes``, whose bits at
 a grid index do not depend on the other indices or rows: a record's ``L``
 equals ``mollified_local_time(path, lam, config.epsilon(n)).values[k]`` bit
@@ -30,7 +34,7 @@ derivative kind's value.
 Monte Carlo bytes are deterministic in (config, seed): every path draws
 from its own substream keyed by (seed, path index) and reductions run in
 path order, so the serialized bytes do not depend on the worker count, the
-batch size or the blocks.
+batch size or the groups.
 Quadrature-derived numbers are written only to the precision their error
 estimate certifies: the supercritical ``a_hat`` is rounded at the decade of
 ``a_hat_error``, so its bytes do not depend on the numerical build either.
@@ -63,7 +67,8 @@ import numpy as np
 
 from .constants import ell, regime_of, Regime
 from .errors import CostGuardError
-from .fbm import CHOLESKY_MAX_N, VALUE_METHODS, FbmPath, sample_values
+from .fbm import (CHOLESKY_MAX_N, VALUE_METHODS, FbmPath, SynthesisBuffers,
+                  group_rows, sample_values)
 from .limits import QuadResult, a_h, a_one_third
 from .localtime import (_check_lam, heat_kernel, heat_kernel_prime,
                         trapezoid_prefixes)
@@ -352,41 +357,42 @@ def _grid_index(t: float, dt: float, n_points: int) -> int:
     return k
 
 
-#: values per row chunk of the functional kernel, the size of its temporaries
-_CHUNK_VALUES = 2 ** 16
-#: values per synthesis block (8 MB): a worker draws its paths in blocks of
-#: this many values, at least one row, and integrates each before the next
-_BLOCK_VALUES = 2 ** 20
+#: scratch matrices of the functional kernel, each shaped like the value
+#: rows: x = B - lam, the scaled argument n^H x and the heat-kernel values
+_KERNEL_SCRATCH = 3
 
 
 def _functionals(values: np.ndarray, fs, H: float, lam: float, ns, eps,
-                 t_idx, dt: float, slope: bool = False):
+                 t_idx, dt: float, slope: bool = False, scratch=None):
     """The functional kernel: along each row of the ``(rows, N+1)`` value
     matrix, the trapezoid prefixes ``F[f, n, t, row]`` of f(n^H (B - lam))
     and the mollified local time ``L[n, t, row]`` at bandwidth ``eps[n]``;
     with ``slope`` also ``Lp[n, t, row]``, its lam-derivative (else None).
     An empty ``eps`` skips the local time.  The heat kernel runs once per
-    distinct bandwidth; rows are walked in chunks of ``_CHUNK_VALUES``."""
+    distinct bandwidth.  Its own temporaries go into ``scratch``, shaped
+    ``(_KERNEL_SCRATCH, >= rows, N+1)`` (allocated when None); the caller
+    passes one FFT group of rows, so the evaluators' temporaries are that
+    small too."""
     rows = values.shape[0]
+    if scratch is None:
+        scratch = np.empty((_KERNEL_SCRATCH,) + values.shape)
+    x, nx, kern = scratch[:, :rows]
+    np.subtract(values, lam, out=x)
     F = np.empty((len(fs), len(ns), len(t_idx), rows))
     L = np.empty((len(eps), len(t_idx), rows))
     Lp = np.empty_like(L) if slope else None
-    step = max(1, _CHUNK_VALUES // values.shape[1])
-    for r in range(0, rows, step):
-        chunk = slice(r, r + step)
-        x = values[chunk] - lam
-        for e in dict.fromkeys(eps):
-            same = [i for i, v in enumerate(eps) if v == e]
-            L[same, :, chunk] = trapezoid_prefixes(heat_kernel(e, x), dt,
-                                                   t_idx).T
-            if slope:
-                # d/dlam of p_eps(B - lam) is -p'_eps(B - lam)
-                Lp[same, :, chunk] = trapezoid_prefixes(
-                    -heat_kernel_prime(e, x), dt, t_idx).T
-        for i_f, fn in enumerate(fs):
-            for i_n, n in enumerate(ns):
-                F[i_f, i_n, :, chunk] = trapezoid_prefixes(fn(n ** H * x), dt,
-                                                           t_idx).T
+    for e in dict.fromkeys(eps):
+        same = [i for i, v in enumerate(eps) if v == e]
+        L[same] = trapezoid_prefixes(heat_kernel(e, x, out=kern), dt,
+                                     t_idx).T
+        if slope:
+            # d/dlam of p_eps(B - lam) is -p'_eps(B - lam)
+            Lp[same] = trapezoid_prefixes(np.negative(
+                heat_kernel_prime(e, x, out=kern), out=kern), dt, t_idx).T
+    for i_f, fn in enumerate(fs):
+        for i_n, n in enumerate(ns):
+            F[i_f, i_n] = trapezoid_prefixes(
+                fn(np.multiply(x, n ** H, out=nx)), dt, t_idx).T
     return F, L, Lp
 
 
@@ -436,20 +442,24 @@ def compensated_functional_Z(path: FbmPath, f: TestFunction, lam: float,
 
 
 def _simulate_batches(config: ExperimentConfig, worker):
-    """Run ``worker(start_index, values_matrix)`` over the paths, one block
-    of at most ``_BLOCK_VALUES`` values at a time; each batch of
-    ``batch_size`` paths is one unit of work, possibly on a pool thread.
-    Results must be written into per-path slots by index."""
-    M = config.path_count
+    """Run ``worker(start_index, values_matrix, scratch)`` over the paths.
+    Each batch of ``batch_size`` paths is one unit of work, possibly on a
+    pool thread: it allocates the synthesis buffers of one FFT group and the
+    kernel's ``scratch`` once, then draws its paths one group at a time and
+    hands each group to the worker before drawing the next.  Results must be
+    written into per-path slots by index."""
+    M, N = config.path_count, config.grid_points
     bs = config.batch_size
-    rows = min(bs, max(1, _BLOCK_VALUES // (config.grid_points + 1)))
     starts = list(range(0, M, bs))
 
     def run(start):
         stop = min(start + bs, M)
-        for block in range(start, stop, rows):
-            worker(block, _batch_values(config, block,
-                                        min(rows, stop - block)))
+        out = SynthesisBuffers(N, group_rows(N, stop - start))
+        scratch = np.empty((_KERNEL_SCRATCH,) + out.values.shape)
+        rows = out.values.shape[0]
+        for g in range(start, stop, rows):
+            worker(g, _batch_values(config, g, min(rows, stop - g), out),
+                   scratch)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -459,9 +469,11 @@ def _simulate_batches(config: ExperimentConfig, worker):
             run(start)
 
 
-def _batch_values(config: ExperimentConfig, start: int, count: int) -> np.ndarray:
+def _batch_values(config: ExperimentConfig, start: int, count: int,
+                  out: SynthesisBuffers) -> np.ndarray:
     return sample_values(config.H, config.horizon, config.grid_points, count,
-                         config.seed, start=start, method=config.method)
+                         config.seed, start=start, method=config.method,
+                         out=out)
 
 
 def _simulate(config: ExperimentConfig, fs, slope: bool):
@@ -472,9 +484,10 @@ def _simulate(config: ExperimentConfig, fs, slope: bool):
     L, Lp = np.empty(F.shape[1:]), (np.empty(F.shape[1:]) if slope else None)
     eps, t_idx = [config.epsilon(n) for n in ns], config.t_indices()
 
-    def worker(start, values):
+    def worker(start, values, scratch):
         parts = _functionals(values, fs, config.H, config.lam, ns, eps,
-                             t_idx, config.horizon / config.grid_points, slope)
+                             t_idx, config.horizon / config.grid_points, slope,
+                             scratch)
         for whole, part in zip((F, L, Lp), parts):
             if whole is not None:
                 whole[..., start:start + values.shape[0]] = part
@@ -693,6 +706,22 @@ def _csv_lines(per_path: PerPath, keys) -> Iterator[str]:
     return _record_blocks(per_path, ("path", *keys), template, {}, "\n")
 
 
+def _written(head: bytes, blocks: Iterator[str], sep: bytes,
+             tail: bytes) -> bytes:
+    """``head``, the blocks separated by ``sep``, then ``tail``: each block
+    goes into the one buffer as it is formatted, so no second copy of the
+    output is ever held."""
+    out = io.BytesIO()
+    out.write(head)
+    between = b""
+    for block in blocks:
+        out.write(between)
+        out.write(block.encode())
+        between = sep
+    out.write(tail)
+    return out.getvalue()
+
+
 def serialize_report(report: ExperimentReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         payload = {
@@ -703,22 +732,14 @@ def serialize_report(report: ExperimentReport, fmt: str = "json") -> bytes:
         }
         head = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         # "per_path" sorts after every other top-level key, so the records
-        # close the object; each block goes into the one buffer as it is
-        # formatted
-        out = io.BytesIO()
-        out.write(head[:-1].encode() + b',"per_path":[')
-        sep = b""
-        for block in _json_records(report.per_path):
-            out.write(sep)
-            out.write(block.encode())
-            sep = b","
-        out.write(b"]}\n")
-        return out.getvalue()
+        # close the object
+        return _written(head[:-1].encode() + b',"per_path":[',
+                        _json_records(report.per_path), b",", b"]}\n")
     if fmt == "csv":
         keys = _COLUMNS[report.kind]
-        lines = [",".join(["path,f,n,t,value", *keys[1:]]),
-                 *_csv_lines(report.per_path, keys)]
-        return ("\n".join(lines) + "\n").encode()
+        header = ",".join(["path,f,n,t,value", *keys[1:]])
+        return _written(header.encode() + b"\n",
+                        _csv_lines(report.per_path, keys), b"\n", b"\n")
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -8,13 +8,16 @@ exposes the driving increments needed by the conditional-mean process).
 
 ``sample_values`` is the one synthesis entry point for value matrices; the
 experiments and ``sample_paths`` both call it.  Its circulant method uses the
-half spectrum of the Hermitian embedding and transforms the rows in groups
-of about ``_GROUP_VALUES`` values, one ``numpy.fft.irfft`` and one
-cumulative sum per group: the per-path draws are those of the earlier
-full-spectrum construction, so paths agree with the previous release to
-~1e-14, each row comes out bit for bit as a Hermitian transform of that row
-alone would give it, and synthesis memory is the output plus a few buffers
-of one group.
+half spectrum of the Hermitian embedding and transforms the rows in FFT
+groups of about ``_GROUP_VALUES`` values (2^16, at least one row), one
+``numpy.fft.irfft`` and one cumulative sum per group: the per-path draws are
+those of the earlier full-spectrum construction, so paths agree with the
+previous release to ~1e-14, each row comes out bit for bit as a Hermitian
+transform of that row alone would give it, and synthesis memory is the
+output plus the draw and spectrum buffers of one group.  The group is the
+unit of work of the experiments too: they draw into one
+``SynthesisBuffers`` of one group's rows per batch, passed as ``out``, and
+integrate each group before drawing the next.
 
 The Volterra kernel has the closed form (Decreusefond and Ustunel,
 Potential Analysis 10, 1999)
@@ -46,7 +49,8 @@ from .constants import CRITICAL_TOL, _check_h, beta1
 __all__ = [
     "covariance", "volterra_kernel", "mu", "conditional_increment_variance",
     "FbmPath", "sample_paths", "sample_values", "conditional_mean_path",
-    "path_rng", "VALUE_METHODS", "CHOLESKY_MAX_N", "VOLTERRA_MAX_N",
+    "path_rng", "group_rows", "SynthesisBuffers", "VALUE_METHODS",
+    "CHOLESKY_MAX_N", "VOLTERRA_MAX_N",
 ]
 
 _METHODS = ("circulant", "cholesky", "volterra")
@@ -55,7 +59,7 @@ VALUE_METHODS = ("circulant", "cholesky")
 CHOLESKY_MAX_N = 4096
 VOLTERRA_MAX_N = 4096
 #: values per group of rows that one circulant FFT transforms, the size of
-#: its temporaries
+#: its buffers and of the experiments' unit of work
 _GROUP_VALUES = 2 ** 16
 
 
@@ -259,10 +263,38 @@ def _check_request(H: float, T: float, N: int, count: int, method: str):
         raise ValueError(f"volterra synthesis is limited to N <= {VOLTERRA_MAX_N}")
 
 
+def group_rows(N: int, count: int) -> int:
+    """Rows in one circulant FFT group when ``count`` paths of N steps are
+    drawn: about ``_GROUP_VALUES`` values, at least one row, at most
+    ``count``."""
+    return min(count, max(1, _GROUP_VALUES // (N + 1)))
+
+
+class SynthesisBuffers:
+    """The buffers ``sample_values`` draws into: ``values``, ``(rows, N+1)``
+    with a zero first column, and for one FFT group of
+    ``group_rows(N, rows)`` rows the draws ``d`` and the half spectrum
+    ``buf``.  A caller that draws many groups allocates one set and passes
+    it as ``out`` each time, so no draw allocates."""
+
+    __slots__ = ("values", "d", "buf")
+
+    def __init__(self, N: int, rows: int):
+        group = group_rows(N, rows)
+        self.values = np.empty((rows, N + 1))
+        self.values[:, 0] = 0.0
+        self.d = np.empty((group, 2 * N))
+        # the imaginary parts at both ends are never written and stay zero
+        self.buf = np.zeros((group, N + 1), dtype=complex)
+
+
 def sample_values(H: float, T: float, N: int, count: int, seed: int,
-                  start: int = 0, method: str = "circulant") -> np.ndarray:
+                  start: int = 0, method: str = "circulant",
+                  out: Optional[SynthesisBuffers] = None) -> np.ndarray:
     """Values of paths ``start .. start+count-1`` on the grid t_k = k*T/N, as
-    a ``(count, N+1)`` matrix whose first column is zero.
+    a ``(count, N+1)`` matrix whose first column is zero.  With ``out``
+    (buffers for N steps and at least ``count`` rows) the matrix is the
+    first ``count`` rows of ``out.values`` and nothing is allocated.
 
     Row i is drawn from the substream ``path_rng(seed, start + i)`` alone,
     so a path's values do not depend on the batch it is drawn in.  Only the
@@ -275,8 +307,8 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
     d[2..N], d[1] and imaginary parts d[N+1..2N-1] (zero at both ends), and
     a real-output inverse transform gives the N fGn increments.  Rows go
     through the transform and the cumulative sum in groups of
-    max(1, ``_GROUP_VALUES`` // (N+1)); both act along each row alone, so a
-    row's bits do not depend on the group it falls in.
+    ``group_rows(N, ...)`` rows; both act along each row alone, so a row's
+    bits do not depend on the group it falls in.
     """
     _check_request(H, T, N, count, method)
     if method not in VALUE_METHODS:
@@ -284,8 +316,14 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
                          f"not {method!r}; use sample_paths")
     if start < 0:
         raise ValueError("start must be >= 0")
-    values = np.empty((count, N + 1))
-    values[:, 0] = 0.0
+    # the spectrum first: its temporaries are freed before the buffers exist
+    amp = _half_spectrum(H, T, N) if method == "circulant" else None
+    if out is None:
+        out = SynthesisBuffers(N, count)
+    elif out.values.shape[0] < count or out.values.shape[1] != N + 1:
+        raise ValueError(f"buffers of shape {out.values.shape} cannot hold "
+                         f"{count} paths of {N} steps")
+    values = out.values[:count]
     if method == "cholesky":
         # one product per path: a batched product rounds a row differently
         # when the batch holds one path
@@ -295,11 +333,9 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
                       out=values[i, 1:])
         return values
 
-    amp = _half_spectrum(H, T, N)
     neg_amp = -amp[1:N]
-    group = min(count, max(1, _GROUP_VALUES // (N + 1)))
-    d = np.empty((group, 2 * N))
-    buf = np.zeros((group, N + 1), dtype=complex)  # imaginary ends stay zero
+    d, buf = out.d, out.buf
+    group = d.shape[0]
     for g in range(0, count, group):
         rows = min(group, count - g)
         for i in range(rows):

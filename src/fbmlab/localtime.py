@@ -69,32 +69,50 @@ def _check_lam(lam) -> float:
 _EXP_ZERO_BELOW = -746.0
 
 
-def _exp(a: np.ndarray) -> np.ndarray:
-    """``np.exp(a)`` bit for bit, without computing the lanes that
-    underflow: numpy's exp takes a slow path below about -708, and on
-    narrow bandwidths a third of the heat-kernel arguments lie there.  The
-    masked exp runs at about half the speed of the plain one on the other
-    lanes, so it is used only when some lane underflows.  A NaN fails
-    ``a < cut`` and so still gives NaN."""
+def _exp(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.exp(a)`` bit for bit, into ``out`` when given (which may be
+    ``a`` itself), without computing the lanes that underflow: numpy's exp
+    takes a slow path below about -708, and on narrow bandwidths a third of
+    the heat-kernel arguments lie there.  The masked exp runs at about half
+    the speed of the plain one on the other lanes, so it is used only when
+    some lane underflows.  A NaN fails ``a < cut`` and so still gives NaN."""
     if not a.min(initial=0.0) < _EXP_ZERO_BELOW:
-        return np.exp(a)
-    return np.exp(a, out=np.zeros(a.shape), where=~(a < _EXP_ZERO_BELOW))
+        return np.exp(a, out=out)
+    under = a < _EXP_ZERO_BELOW
+    out = np.exp(a, out=out, where=~under)
+    np.copyto(out, 0.0, where=under)
+    return out
 
 
-def heat_kernel(eps: float, x):
-    """Centered Gaussian density of variance eps."""
+def _gauss(eps: float, x: np.ndarray, out: Optional[np.ndarray]):
+    """exp(-x^2 / (2 eps)), into ``out`` when given."""
+    if out is None:
+        out = np.empty(x.shape)
+    np.negative(x, out=out)
+    np.multiply(out, x, out=out)
+    np.divide(out, 2.0 * eps, out=out)
+    return _exp(out, out=out)
+
+
+def heat_kernel(eps: float, x, out: Optional[np.ndarray] = None):
+    """Centered Gaussian density of variance eps; written into ``out``
+    (shaped like x) when given, with the same bits."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
-    out = _exp(-x * x / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
-    return float(out) if out.ndim == 0 else out
+    g = _gauss(eps, x, out)
+    res = np.divide(g, math.sqrt(2.0 * math.pi * eps), out=g)
+    return float(res) if res.ndim == 0 else res
 
 
-def heat_kernel_prime(eps: float, x):
-    """x-derivative of the heat kernel: -(x/eps) * p_eps(x)."""
+def heat_kernel_prime(eps: float, x, out: Optional[np.ndarray] = None):
+    """x-derivative of the heat kernel: -(x/eps) * p_eps(x); written into
+    ``out`` (shaped like x) when given, with the same bits."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
-    out = -(x / eps) * _exp(-x * x / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
-    return float(out) if out.ndim == 0 else out
+    g = _gauss(eps, x, out)
+    res = np.divide(np.multiply(-(x / eps), g, out=g),
+                    math.sqrt(2.0 * math.pi * eps), out=g)
+    return float(res) if res.ndim == 0 else res
 
 
 @dataclass(frozen=True)

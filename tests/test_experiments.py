@@ -501,22 +501,34 @@ KIND_IDS = ["clt", "derivative"]
 class TestFunctionalKernel:
     @pytest.mark.parametrize("run, kind", KINDS, ids=KIND_IDS)
     def test_bytes_do_not_depend_on_row_chunks(self, run, kind):
-        # a chunk holds a few rows of this grid, so 7-path batches split
-        # into several chunks and 1-path batches into one each
+        # an FFT group holds a few rows of this grid, so 7-path batches
+        # split into several groups and 1-path batches into one each
         grid = 2 ** 14
-        assert 1 < exp._CHUNK_VALUES // (grid + 1) < 7
+        assert 1 < fbm.group_rows(grid, 7) < 7
         base = dict(kind, t_list=(0.5, 1.0), n_ladder=(4, 16), path_count=7,
                     grid_per_unit=grid, seed=2)
         r1 = run(exp.ExperimentConfig(**base, threads=1, batch_size=1))
         r2 = run(exp.ExperimentConfig(**base, threads=2, batch_size=7))
         assert exp.serialize_report(r1) == exp.serialize_report(r2)
 
+    @pytest.mark.parametrize("run, kind", KINDS, ids=KIND_IDS)
+    def test_bytes_do_not_depend_on_groups_or_workers(self, run, kind):
+        # 20-path batches are one whole 15-row group and a partial one, and
+        # 70 paths make 4 batches, which 3 workers do not share evenly
+        grid = 2 ** 12
+        assert fbm.group_rows(grid, 20) == 15
+        base = dict(kind, t_list=(0.5, 1.0), n_ladder=(4, 16), path_count=70,
+                    grid_per_unit=grid, seed=6)
+        one = run(exp.ExperimentConfig(**base, threads=1, batch_size=70))
+        many = run(exp.ExperimentConfig(**base, threads=3, batch_size=20))
+        assert exp.serialize_report(many) == exp.serialize_report(one)
+
     @pytest.mark.parametrize("run, kind", [
         (exp.clt_experiment, dict(H=1.0 / 3.0,
                                   f=("gaussian_derivative:sigma=1",))),
         KINDS[1]], ids=KIND_IDS)
     def test_peak_memory_is_a_few_value_matrices(self, run, kind):
-        # evaluation temporaries are row chunks, not copies of the batch
+        # evaluation temporaries are one FFT group, not copies of the batch
         cfg = exp.ExperimentConfig(**kind, path_count=20,
                                    grid_per_unit=2 ** 14, batch_size=20)
         run(cfg)  # warm the spectrum caches
@@ -530,16 +542,20 @@ class TestFunctionalKernel:
 
 
 class TestSynthesisBlocks:
-    # at grid 2^14 a block holds 63 rows, so 400 paths take 7 blocks, the
-    # last of 22 rows
+    # at grid 2^14 an FFT group holds 3 rows, so batches of 7, 64 and 400
+    # paths end in a partial group
     GRID = 2 ** 14
     BASE = dict(H=1.0 / 3.0, f=("gaussian_derivative:sigma=1",),
                 t_list=(0.5, 1.0), n_ladder=(4, 16), path_count=400,
                 grid_per_unit=GRID, seed=5)
 
     def test_peak_memory_is_a_few_blocks_whatever_the_batch(self):
-        # one 400-path batch: its value matrix alone would be 52 MB
-        assert exp._BLOCK_VALUES // (self.GRID + 1) == 63
+        # one 400-path batch: its value matrix alone would be 52 MB.  The
+        # batch holds 8 group-sized matrices of buffers (values, draws 2,
+        # complex half spectrum 2, kernel scratch 3) and gaussian_derivative
+        # at most 3 temporaries of one group
+        rows = fbm.group_rows(self.GRID, 400)
+        assert rows == 3
         cfg = exp.ExperimentConfig(**self.BASE, batch_size=400, threads=1)
         exp.clt_experiment(cfg)  # warm the spectrum caches
         tracemalloc.start()
@@ -548,7 +564,7 @@ class TestSynthesisBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 63 * (self.GRID + 1) * 8
+        assert peak <= (8 + 4) * rows * (self.GRID + 1) * 8
 
     def test_bytes_do_not_depend_on_batches_or_blocks(self):
         want = None
@@ -583,6 +599,22 @@ def with_nonfinite(rep):
     return with_columns(rep, columns)
 
 
+def ladder_report(paths):
+    """3 functions x 5 scales x 4 times x ``paths`` paths of random values,
+    shaped as a derivative ladder writes them."""
+    small = exp.derivative_experiment(exp.ExperimentConfig(
+        H=0.25, f=("gaussian_bump:sigma=1,center=0.5", "hat:a=-1,b=1",
+                   "indicator:a=0,b=1"),
+        t_list=(0.25, 0.5, 0.75, 1.0), n_ladder=(16, 64, 256, 1024, 4096),
+        path_count=2, grid_per_unit=64, seed=11, batch_size=2))
+    rng = np.random.default_rng(0)
+    columns = {k: rng.standard_normal(a.shape[:-1] + (paths,))
+               for k, a in small.per_path.columns.items()}
+    return dataclasses.replace(
+        with_columns(small, columns),
+        config=dataclasses.replace(small.config, path_count=paths))
+
+
 class TestPerPathColumns:
     @pytest.fixture(scope="class", params=sorted(WRITER_KINDS))
     def report(self, request):
@@ -608,20 +640,9 @@ class TestPerPathColumns:
             assert all(tok in data for tok in tokens)
 
     def test_json_writer_memory_is_the_output(self):
-        # 3 functions x 5 scales x 4 times x 2000 paths, as a derivative
-        # ladder writes them: each block goes into the one output buffer as
-        # it is formatted, so nothing near a second copy is ever held
-        small = exp.derivative_experiment(exp.ExperimentConfig(
-            H=0.25, f=("gaussian_bump:sigma=1,center=0.5", "hat:a=-1,b=1",
-                       "indicator:a=0,b=1"),
-            t_list=(0.25, 0.5, 0.75, 1.0), n_ladder=(16, 64, 256, 1024, 4096),
-            path_count=2, grid_per_unit=64, seed=11, batch_size=2))
-        rng = np.random.default_rng(0)
-        columns = {k: rng.standard_normal(a.shape[:-1] + (2000,))
-                   for k, a in small.per_path.columns.items()}
-        rep = dataclasses.replace(
-            with_columns(small, columns),
-            config=dataclasses.replace(small.config, path_count=2000))
+        # each block goes into the one output buffer as it is formatted, so
+        # nothing near a second copy is ever held
+        rep = ladder_report(2000)
         tracemalloc.start()
         try:
             data = exp.serialize_report(rep)
@@ -631,6 +652,20 @@ class TestPerPathColumns:
         assert len(data) > 15_000_000
         assert peak < 1.5 * len(data)
         assert data == oracles.oracle_serialize_report(rep)
+
+    def test_csv_writer_memory_is_the_output(self):
+        # the same ladder-shaped report as CSV: the blocks go into one
+        # buffer, not into a list of lines joined and then encoded
+        rep = ladder_report(2000)
+        tracemalloc.start()
+        try:
+            data = exp.serialize_report(rep, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) > 10_000_000
+        assert peak < 1.5 * len(data)
+        assert data == oracles.oracle_serialize_report(rep, "csv")
 
     def test_records_equal_the_oracle_records(self, report):
         records = oracles.oracle_records(report)

@@ -278,6 +278,36 @@ class TestHalfSpectrum:
                                                    seed=4, start=start)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("N", [64, 4096, 2 ** 17])
+    def test_reused_buffers_give_the_fresh_rows(self, N):
+        # draws into one buffer set, each over the last one's values and
+        # spent draws: whole groups, a partial one, then a single row
+        H, rows = 1.0 / 3.0, fbm.group_rows(N, 40)
+        out = fbm.SynthesisBuffers(N, rows)
+        for start, count in ((2, rows), (40, max(1, rows - 2)), (7, 1)):
+            got = fbm.sample_values(H, 1.0, N, count, seed=4, start=start,
+                                    out=out)
+            assert np.shares_memory(got, out.values)
+            fresh = fbm.sample_values(H, 1.0, N, count, seed=4, start=start)
+            want = oracles.oracle_half_spectrum_values(H, 1.0, N, count,
+                                                       seed=4, start=start)
+            assert got.tobytes() == fresh.tobytes() == want.tobytes()
+
+    def test_reused_buffers_serve_cholesky(self):
+        out = fbm.SynthesisBuffers(64, 5)
+        fbm.sample_values(0.3, 1.0, 64, 5, seed=1, out=out)
+        got = fbm.sample_values(0.3, 1.0, 64, 3, seed=1, start=4,
+                                method="cholesky", out=out)
+        fresh = fbm.sample_values(0.3, 1.0, 64, 3, seed=1, start=4,
+                                  method="cholesky")
+        assert got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("N, rows, count", [(64, 4, 5), (32, 8, 2)])
+    def test_buffers_of_another_shape_rejected(self, N, rows, count):
+        with pytest.raises(ValueError, match="cannot hold"):
+            fbm.sample_values(0.3, 1.0, 64, count, seed=0,
+                              out=fbm.SynthesisBuffers(N, rows))
+
     def test_synthesis_memory_is_the_output(self):
         # one O(N) buffer set on top of the values, not a (count, 2N)
         # complex batch; the spectrum is built inside the measured call

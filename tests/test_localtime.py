@@ -60,17 +60,36 @@ class TestHeatKernel:
     ], ids=["wide", "subnormal-band", "edges", "no-underflow", "nan-first",
             "empty"])
     def test_exp_is_bitwise_numpy_exp(self, a):
-        got, want = lt._exp(a), np.exp(a)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        want = np.exp(a).view(np.int64)
+        assert np.array_equal(lt._exp(a).view(np.int64), want)
+        # into a buffer holding other values, and in place
+        out = np.full(a.shape, 7.0)
+        assert lt._exp(a, out=out) is out
+        assert np.array_equal(out.view(np.int64), want)
+        b = a.copy()
+        assert lt._exp(b, out=b) is b
+        assert np.array_equal(b.view(np.int64), want)
 
     def test_kernels_are_bitwise_the_plain_formulas(self):
-        x = np.concatenate([np.linspace(-3.0, 3.0, 60_001), [np.nan]])
+        # lanes whose exponent lies below -746 (|x| > 1.2 at eps = 1e-3),
+        # NaN, both infinities and -0.0
+        x = np.concatenate([np.linspace(-3.0, 3.0, 60_001),
+                            [np.nan, np.inf, -np.inf, -0.0]])
+        out = np.empty_like(x)
         for eps in (1e-3, 0.5 ** 20, 1.0):
-            e, norm = np.exp(-x * x / (2.0 * eps)), math.sqrt(2 * math.pi * eps)
-            assert np.array_equal(lt.heat_kernel(eps, x), e / norm,
-                                  equal_nan=True)
-            assert np.array_equal(lt.heat_kernel_prime(eps, x),
-                                  -(x / eps) * e / norm, equal_nan=True)
+            # the derivative is inf * 0 = NaN at the infinite lanes
+            with np.errstate(invalid="ignore"):
+                e = np.exp(-x * x / (2.0 * eps))
+                norm = math.sqrt(2 * math.pi * eps)
+                for kernel, plain in ((lt.heat_kernel, e / norm),
+                                      (lt.heat_kernel_prime,
+                                       -(x / eps) * e / norm)):
+                    got = kernel(eps, x)
+                    out.fill(7.0)
+                    assert kernel(eps, x, out=out) is out
+                    assert np.array_equal(got, plain, equal_nan=True)
+                    assert np.array_equal(out.view(np.int64),
+                                          got.view(np.int64))
         assert lt.heat_kernel(1e-6, 1.0) == 0.0
 
 
