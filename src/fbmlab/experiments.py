@@ -13,12 +13,13 @@ time along the rows of a value matrix.  Memory has one unit, the FFT group
 of synthesis (``fbm.group_rows``: about 2^16 values, 0.5 MB, at least one
 row).  Each batch of ``batch_size`` paths allocates its buffers once: the
 synthesis buffers of one group (``fbm.SynthesisBuffers``: the value rows,
-the draws and the half spectrum) and the kernel's scratch (B - lam,
-n^H (B - lam) and the heat-kernel values), eight group-sized matrices in
-all.  It then draws one group into them, integrates it, and draws the next,
-so no group maps fresh memory for its buffers.  A worker holds those
-buffers and the evaluation temporaries of one group, whatever
-``batch_size`` and ``path_count`` are: a tracemalloc peak of 4-11 MB on
+the draws and the half spectrum), five group-sized matrices in all.  It
+then draws one group into them, integrates it, and draws the next, so no
+group maps fresh memory for its buffers.  Once a group is drawn its draws
+and half spectrum are spent, and the kernel's scratch (B - lam,
+n^H (B - lam) and the heat-kernel values) lies over them.  A worker holds
+those buffers and the evaluation temporaries of one group, whatever
+``batch_size`` and ``path_count`` are: a tracemalloc peak of 3-7 MB on
 grids of 2^12 to 2^17 steps, and ``threads`` workers hold that much each.
 ``batch_size`` only bounds the paths in one unit of work.
 
@@ -357,26 +358,22 @@ def _grid_index(t: float, dt: float, n_points: int) -> int:
     return k
 
 
-#: scratch matrices of the functional kernel, each shaped like the value
-#: rows: x = B - lam, the scaled argument n^H x and the heat-kernel values
-_KERNEL_SCRATCH = 3
-
-
 def _functionals(values: np.ndarray, fs, H: float, lam: float, ns, eps,
-                 t_idx, dt: float, slope: bool = False, scratch=None):
+                 t_idx, dt: float, spent: SynthesisBuffers,
+                 slope: bool = False):
     """The functional kernel: along each row of the ``(rows, N+1)`` value
     matrix, the trapezoid prefixes ``F[f, n, t, row]`` of f(n^H (B - lam))
     and the mollified local time ``L[n, t, row]`` at bandwidth ``eps[n]``;
     with ``slope`` also ``Lp[n, t, row]``, its lam-derivative (else None).
     An empty ``eps`` skips the local time.  The heat kernel runs once per
-    distinct bandwidth.  Its own temporaries go into ``scratch``, shaped
-    ``(_KERNEL_SCRATCH, >= rows, N+1)`` (allocated when None); the caller
-    passes one FFT group of rows, so the evaluators' temporaries are that
-    small too."""
-    rows = values.shape[0]
-    if scratch is None:
-        scratch = np.empty((_KERNEL_SCRATCH,) + values.shape)
-    x, nx, kern = scratch[:, :rows]
+    distinct bandwidth.  Its three scratch matrices, B - lam, n^H (B - lam)
+    and the heat-kernel values, lie over the spent draws and half spectrum
+    of ``spent``, synthesis buffers for N steps and at least ``rows`` rows;
+    the caller passes one FFT group of rows, so the evaluators' temporaries
+    are that small too."""
+    rows, width = values.shape
+    halves = spent.buf[:rows].view(float)
+    x, nx, kern = spent.d[:rows, :width], halves[:, :width], halves[:, width:]
     np.subtract(values, lam, out=x)
     F = np.empty((len(fs), len(ns), len(t_idx), rows))
     L = np.empty((len(eps), len(t_idx), rows))
@@ -410,7 +407,7 @@ def _path_functional(path: FbmPath, f: TestFunction, lam: float, n: int,
             f"scale {f.scale_hint:.3g}: functional is undersampled",
             UndersamplingWarning)
     F, L, _ = _functionals(path.values[None], [f], path.H, lam, [n], eps,
-                           [k], path.dt)
+                           [k], path.dt, SynthesisBuffers(path.N, 1))
     return float(F[0, 0, 0, 0]), (float(L[0, 0, 0]) if eps else None)
 
 
@@ -442,12 +439,13 @@ def compensated_functional_Z(path: FbmPath, f: TestFunction, lam: float,
 
 
 def _simulate_batches(config: ExperimentConfig, worker):
-    """Run ``worker(start_index, values_matrix, scratch)`` over the paths.
+    """Run ``worker(start_index, values_matrix, buffers)`` over the paths.
     Each batch of ``batch_size`` paths is one unit of work, possibly on a
-    pool thread: it allocates the synthesis buffers of one FFT group and the
-    kernel's ``scratch`` once, then draws its paths one group at a time and
-    hands each group to the worker before drawing the next.  Results must be
-    written into per-path slots by index."""
+    pool thread: it allocates the synthesis buffers of one FFT group once,
+    then draws its paths one group at a time and hands each group, with the
+    buffers whose draws and spectrum it has spent, to the worker before
+    drawing the next.  Results must be written into per-path slots by
+    index."""
     M, N = config.path_count, config.grid_points
     bs = config.batch_size
     starts = list(range(0, M, bs))
@@ -455,11 +453,9 @@ def _simulate_batches(config: ExperimentConfig, worker):
     def run(start):
         stop = min(start + bs, M)
         out = SynthesisBuffers(N, group_rows(N, stop - start))
-        scratch = np.empty((_KERNEL_SCRATCH,) + out.values.shape)
         rows = out.values.shape[0]
         for g in range(start, stop, rows):
-            worker(g, _batch_values(config, g, min(rows, stop - g), out),
-                   scratch)
+            worker(g, _batch_values(config, g, min(rows, stop - g), out), out)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -484,10 +480,10 @@ def _simulate(config: ExperimentConfig, fs, slope: bool):
     L, Lp = np.empty(F.shape[1:]), (np.empty(F.shape[1:]) if slope else None)
     eps, t_idx = [config.epsilon(n) for n in ns], config.t_indices()
 
-    def worker(start, values, scratch):
+    def worker(start, values, spent):
         parts = _functionals(values, fs, config.H, config.lam, ns, eps,
-                             t_idx, config.horizon / config.grid_points, slope,
-                             scratch)
+                             t_idx, config.horizon / config.grid_points, spent,
+                             slope)
         for whole, part in zip((F, L, Lp), parts):
             if whole is not None:
                 whole[..., start:start + values.shape[0]] = part

@@ -14,10 +14,14 @@ groups of about ``_GROUP_VALUES`` values (2^16, at least one row), one
 those of the earlier full-spectrum construction, so paths agree with the
 previous release to ~1e-14, each row comes out bit for bit as a Hermitian
 transform of that row alone would give it, and synthesis memory is the
-output plus the draw and spectrum buffers of one group.  The group is the
-unit of work of the experiments too: they draw into one
-``SynthesisBuffers`` of one group's rows per batch, passed as ``out``, and
-integrate each group before drawing the next.
+output plus the draw and spectrum buffers of one group: five group-sized
+matrices of doubles (values, draws 2, complex half spectrum 2).  The
+amplitudes of the circulant embedding are built in place, in the one
+complex vector their FFT transforms, at a peak of about six vectors of N+1
+doubles.  The group is the unit of work of the experiments too: they draw
+into one ``SynthesisBuffers`` of one group's rows per batch, passed as
+``out``, and integrate each group in its spent draw and spectrum buffers
+before drawing the next.
 
 The Volterra kernel has the closed form (Decreusefond and Ustunel,
 Potential Analysis 10, 1999)
@@ -206,18 +210,37 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
 def _half_spectrum(H: float, T: float, N: int) -> np.ndarray:
     """Amplitudes sqrt(lam_k / 2N), k = 0..N, of the circulant embedding of
     fGn on N steps of T/N, with the 1/sqrt(2) of the complex draws at
-    0 < k < N folded in.  Read-only: every caller shares the cached array."""
-    dt = T / N
+    0 < k < N folded in.  Read-only: every caller shares the cached array.
+
+    Built in place: the autocovariances
+    gamma_k = 0.5 dt^2H ((k+1)^2H + |k-1|^2H - 2 k^2H) go straight into the
+    real part of the one complex vector the FFT transforms, step by step in
+    the formula's operand order, and the amplitudes into the k vector, so
+    the peak is about six vectors of N+1 doubles."""
+    dt, p = T / N, 2 * H
     k = np.arange(N + 1, dtype=float)
-    gam = 0.5 * dt ** (2 * H) * ((k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H)
-                                 - 2 * k ** (2 * H))
-    c = np.concatenate([gam, gam[-2:0:-1]])          # length 2N
-    lam = np.fft.fft(c).real[:N + 1]
+    z = np.zeros(2 * N, dtype=complex)
+    gam = z.real[:N + 1]
+    np.add(k, 1, out=gam)
+    gam **= p
+    km1 = np.subtract(k, 1)
+    np.abs(km1, out=km1)
+    km1 **= p
+    gam += km1
+    del km1
+    k **= p
+    k *= 2
+    gam -= k
+    gam *= 0.5 * dt ** p
+    z.real[N + 1:] = gam[-2:0:-1]                    # the circulant's mirror
+    lam = np.fft.fft(z, out=z).real[:N + 1]
     if lam.min() < -1e-9 * lam.max():
         raise ValueError(
             "circulant embedding is not nonnegative definite at this size; "
             "retry with the embedding doubled (increase N or use cholesky)")
-    amp = np.sqrt(np.maximum(lam, 0.0) / (2 * N))
+    amp = np.maximum(lam, 0.0, out=k)
+    amp /= 2 * N
+    np.sqrt(amp, out=amp)
     amp[1:N] /= math.sqrt(2.0)
     amp.flags.writeable = False
     return amp
@@ -275,7 +298,10 @@ class SynthesisBuffers:
     with a zero first column, and for one FFT group of
     ``group_rows(N, rows)`` rows the draws ``d`` and the half spectrum
     ``buf``.  A caller that draws many groups allocates one set and passes
-    it as ``out`` each time, so no draw allocates."""
+    it as ``out`` each time, so no draw allocates.  Once a draw returns,
+    ``d`` and ``buf`` are spent: the caller may write anything into them,
+    as the experiments' functional kernel does, since every draw writes
+    all of both before it reads them."""
 
     __slots__ = ("values", "d", "buf")
 
@@ -284,8 +310,7 @@ class SynthesisBuffers:
         self.values = np.empty((rows, N + 1))
         self.values[:, 0] = 0.0
         self.d = np.empty((group, 2 * N))
-        # the imaginary parts at both ends are never written and stay zero
-        self.buf = np.zeros((group, N + 1), dtype=complex)
+        self.buf = np.empty((group, N + 1), dtype=complex)
 
 
 def sample_values(H: float, T: float, N: int, count: int, seed: int,
@@ -348,6 +373,7 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
         # (negation commutes with rounding); the draws are spent, so the
         # transform writes over them
         np.multiply(d[:rows, N + 1:], neg_amp, out=im[:, 1:N])
+        im[:, 0] = im[:, N] = 0.0
         np.fft.irfft(buf[:rows], 2 * N, axis=-1, norm="forward",
                      out=d[:rows])
         np.cumsum(d[:rows, :N], axis=-1, out=values[g:g + rows, 1:])

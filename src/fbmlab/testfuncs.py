@@ -14,6 +14,14 @@ units of ``scale_hint`` (``_integrate``).
 Every built-in carries closed-form moments and a closed-form Fourier
 transform (``poly_bump`` up to k = 40); the numeric quadratures serve the
 other functions, and import ``scipy.integrate`` on their first call.
+
+The evaluators of ``gaussian_bump``, ``gaussian_derivative``, ``indicator``
+and ``hat`` write the steps of their formula, in its operand order, into
+one output array laid out like the argument (``hat`` and
+``gaussian_derivative`` also need one temporary), so each step runs the
+loop the formula's own temporaries ran and the bits are the formula's.  A
+0-d argument gets the bits of a one-element array: for ``gaussian_bump``
+numpy's scalar power could round the square differently.
 """
 from __future__ import annotations
 
@@ -178,7 +186,14 @@ def gaussian_bump(sigma: float = 1.0, center: float = 0.0) -> TestFunction:
     s2 = sigma * sigma
 
     def ev(x):
-        return np.exp(-(x - center) ** 2 / (2 * s2)) / math.sqrt(2 * math.pi * s2)
+        # exp(-(x - center)^2 / (2 s2)) / sqrt(2 pi s2), one step at a time
+        out = np.subtract(x, center, out=np.empty_like(x, dtype=float))
+        out **= 2
+        np.negative(out, out=out)
+        out /= 2 * s2
+        np.exp(out, out=out)
+        out /= math.sqrt(2 * math.pi * s2)
+        return out
 
     def ft(eta):
         return np.exp(1j * eta * center - s2 * np.asarray(eta) ** 2 / 2.0)
@@ -194,7 +209,16 @@ def gaussian_derivative(sigma: float = 1.0) -> TestFunction:
     s2 = sigma * sigma
 
     def ev(x):
-        return -x / s2 * np.exp(-x * x / (2 * s2)) / math.sqrt(2 * math.pi * s2)
+        # -x / s2 * exp(-x x / (2 s2)) / sqrt(2 pi s2), one step at a time
+        out = np.negative(x, out=np.empty_like(x, dtype=float))
+        out *= x
+        out /= 2 * s2
+        np.exp(out, out=out)
+        scaled = np.negative(x)
+        scaled /= s2
+        np.multiply(scaled, out, out=out)
+        out /= math.sqrt(2 * math.pi * s2)
+        return out
 
     def ft(eta):
         eta = np.asarray(eta)
@@ -219,7 +243,9 @@ def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
     _check_ends("indicator", a, b)
 
     def ev(x):
-        return np.where((x >= a) & (x <= b), 1.0, 0.0)
+        out = np.greater_equal(x, a, out=np.empty_like(x, dtype=float))
+        out *= x <= b
+        return out
 
     def ft(eta):
         eta = np.asarray(eta, dtype=float)
@@ -241,8 +267,13 @@ def hat(a: float = -1.0, b: float = 1.0) -> TestFunction:
     w = 0.5 * (b - a)
 
     def ev(x):
-        # the sign of x - a and of b - x is exact, so 0.0 outside [a, b]
-        return np.maximum(0.0, np.minimum(x - a, b - x)) / w
+        # max(0, min(x - a, b - x)) / w; the sign of x - a and of b - x is
+        # exact, so 0.0 outside [a, b]
+        out = np.subtract(x, a, out=np.empty_like(x, dtype=float))
+        np.minimum(out, np.subtract(b, x), out=out)
+        np.maximum(0.0, out, out=out)
+        out /= w
+        return out
 
     def ft(eta):
         eta = np.asarray(eta, dtype=float)

@@ -319,6 +319,30 @@ def oracle_poly_bump(a: float, b: float, k: int):
     return _support_masked(ev, a, b)
 
 
+# The built-in evaluators' formulas as one-line expressions.  The evaluators
+# compute the same steps in the same operand order into one output array,
+# so they must give these bits on every array argument.
+def formula_gaussian_bump(sigma: float, center: float):
+    s2 = sigma * sigma
+    return lambda x: (np.exp(-(x - center) ** 2 / (2 * s2))
+                      / math.sqrt(2 * math.pi * s2))
+
+
+def formula_gaussian_derivative(sigma: float):
+    s2 = sigma * sigma
+    return lambda x: (-x / s2 * np.exp(-x * x / (2 * s2))
+                      / math.sqrt(2 * math.pi * s2))
+
+
+def formula_indicator(a: float, b: float):
+    return lambda x: np.where((x >= a) & (x <= b), 1.0, 0.0)
+
+
+def formula_hat(a: float, b: float):
+    w = 0.5 * (b - a)
+    return lambda x: np.maximum(0.0, np.minimum(x - a, b - x)) / w
+
+
 def oracle_fourier_sum(y, m: int, d: float, kind: str) -> np.ndarray:
     """The symmetric midpoint frequency sum at xi_k = (k + 1/2) d, k < m,
     term by term: sum_k 2 cos(xi_k y) (level) or -2 xi_k sin(xi_k y)

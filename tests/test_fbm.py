@@ -293,6 +293,24 @@ class TestHalfSpectrum:
                                                        seed=4, start=start)
             assert got.tobytes() == fresh.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("N", [64, 4096, 2 ** 17])
+    def test_draws_ignore_what_the_kernel_left(self, N):
+        # the experiments' kernel writes its scratch over the spent draws
+        # and half spectrum, the imaginary parts at k = 0 and k = N included
+        H, rows = 1.0 / 3.0, fbm.group_rows(N, 40)
+        out = fbm.SynthesisBuffers(N, rows)
+        for start, count in ((2, rows), (40, max(1, rows - 2))):
+            out.d.fill(np.nan)
+            out.buf.real.fill(np.nan)
+            out.buf.imag.fill(np.nan)
+            assert np.isnan(out.buf.imag[:, [0, N]]).all()
+            got = fbm.sample_values(H, 1.0, N, count, seed=4, start=start,
+                                    out=out)
+            fresh = fbm.sample_values(H, 1.0, N, count, seed=4, start=start)
+            want = oracles.oracle_half_spectrum_values(H, 1.0, N, count,
+                                                       seed=4, start=start)
+            assert got.tobytes() == fresh.tobytes() == want.tobytes()
+
     def test_reused_buffers_serve_cholesky(self):
         out = fbm.SynthesisBuffers(64, 5)
         fbm.sample_values(0.3, 1.0, 64, 5, seed=1, out=out)
@@ -320,6 +338,19 @@ class TestHalfSpectrum:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * count * (N + 1) * 8
+
+    def test_spectrum_memory_is_six_vectors(self):
+        # built in place: the k vector, the complex length-2N FFT vector
+        # and one more vector of N+1 doubles, not a dozen temporaries
+        N = 2 ** 14
+        fbm._half_spectrum.cache_clear()
+        tracemalloc.start()
+        try:
+            fbm._half_spectrum(1.0 / 3.0, 1.0, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * (N + 1) * 8
 
     def test_spectrum_cache_is_read_only(self):
         amp = fbm._half_spectrum(0.3, 1.0, 16)

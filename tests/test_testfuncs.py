@@ -266,6 +266,73 @@ ORACLES = {"indicator": lambda a, b, k: oracles.oracle_indicator(a, b),
            "poly_bump": oracles.oracle_poly_bump}
 
 
+#: each built-in evaluator beside its one-line formula, with the points
+#: where it bends, jumps or is centred
+FORMULAS = [
+    (tf.gaussian_bump(1.0, 0.0), oracles.formula_gaussian_bump(1.0, 0.0),
+     (-1.0, 0.0, 1.0)),
+    (tf.gaussian_bump(0.3, 0.5), oracles.formula_gaussian_bump(0.3, 0.5),
+     (0.2, 0.5, 0.8)),
+    (tf.gaussian_derivative(1.0), oracles.formula_gaussian_derivative(1.0),
+     (-1.0, 0.0, 1.0)),
+    (tf.gaussian_derivative(0.7), oracles.formula_gaussian_derivative(0.7),
+     (-0.7, 0.0, 0.7)),
+    (tf.indicator(0.0, 1.0), oracles.formula_indicator(0.0, 1.0), (0.0, 1.0)),
+    (tf.indicator(-0.3, 2.1), oracles.formula_indicator(-0.3, 2.1),
+     (-0.3, 2.1)),
+    (tf.hat(-1.0, 1.0), oracles.formula_hat(-1.0, 1.0), (-1.0, 0.0, 1.0)),
+    (tf.hat(0.1, 0.9), oracles.formula_hat(0.1, 0.9), (0.1, 0.5, 0.9)),
+]
+FORMULA_IDS = [f.label for f, _, _ in FORMULAS]
+
+
+def _special(points) -> np.ndarray:
+    """NaN, +-inf, +-0.0, the extremes of the doubles, and each point with
+    its neighbouring doubles."""
+    near = [np.nextafter(p, to) for p in points for to in (-np.inf, np.inf)]
+    return np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     1e308, -1e308, *points, *near])
+
+
+class TestEvaluatorBits:
+    # the evaluators write their steps into one output array; the bits are
+    # those of the one-line formulas, overflow and inf * 0 included
+    @pytest.mark.parametrize("f, formula, points", FORMULAS, ids=FORMULA_IDS)
+    def test_arrays_match_the_formula_bitwise(self, f, formula, points):
+        rng = np.random.default_rng(21)
+        x = np.concatenate([_special(points), rng.standard_normal(3000) * 2.0,
+                            rng.uniform(-0.5, 2.5, 3000)])
+        # strided 2-D views: rows spaced apart as the functional kernel's
+        # scratch rows are, and a transposed matrix
+        rows = np.full((2, 2 * x.size), 7.0)[:, :x.size]
+        rows[:] = x, x[::-1]
+        cols = np.stack([x, x[::-1]], axis=1).T
+        assert not (rows.flags.c_contiguous or cols.flags.c_contiguous)
+        with np.errstate(all="ignore"):
+            for arg in (x, rows, cols):
+                got = f.evaluator(arg)
+                assert got.shape == arg.shape
+                assert got.tobytes() == formula(arg).tobytes()
+
+    @pytest.mark.parametrize("f, formula, points", FORMULAS, ids=FORMULA_IDS)
+    def test_zero_d_matches_the_formula_bitwise(self, f, formula, points):
+        # the quadratures call with 0-d arrays
+        with np.errstate(all="ignore"):
+            for v in _special(points):
+                got = f.evaluator(np.asarray(v))
+                assert got.shape == ()
+                assert got.tobytes() == np.asarray(
+                    formula(np.asarray(v)), dtype=float).tobytes()
+                assert f(float(v)).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("f, formula, points", FORMULAS, ids=FORMULA_IDS)
+    def test_zero_d_gives_the_array_bits(self, f, formula, points):
+        x = np.random.default_rng(4).uniform(-3.0, 3.0, 500)
+        whole = f.evaluator(x)
+        assert all(f.evaluator(np.asarray(v)).tobytes() == whole[i].tobytes()
+                   for i, v in enumerate(x))
+
+
 class TestSupport:
     @pytest.mark.parametrize("spec, name, a, b, k", [
         ("hat:a=-1,b=1", "hat", -1.0, 1.0, None),
