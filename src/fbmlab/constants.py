@@ -6,7 +6,9 @@ Volterra kernel, the conditional variances of kernel increments, and the
 limit laws of the additive-functional experiments.
 
 ``beta3`` is a closed form.  With lo <= hi the pair (s1, s2), x = lo/hi,
-c = 1 - x and a = H - 1/2, it is a prefactor times hi^{2H} J(x), where
+c = 1 - x and a = H - 1/2, it is beta1(H)^2 hi^{2H} J(x): its prefactor is
+the squared kernel amplitude, written once in ``beta1``, as the Gaussian
+test functions are the heat kernels of ``localtime``.  Here
 
     J(x) = int_0^inf ((th+x)^a - (th+1)^a)^2 dth
          = c^{2H} int_0^c r^{-2H-1} (1 - (1-r)^a)^2 dr      (th + 1 = c/r).
@@ -112,18 +114,6 @@ class Beta3Mode(enum.Enum):
     LIMIT = "limit"        # H -> 1/2 limit of the formula: int log^2 ratio
 
 
-def _beta3_prefactor(H: float) -> float:
-    # For H > 1/2 the kernel's time derivative is
-    #   d/dt K(t,s) = C_H s^{1/2-H} (t-s)^{H-3/2} t^{H-1/2},
-    # whose antiderivative in t contributes 1/(H-1/2) per factor; for
-    # H < 1/2 the derivative carries an extra (H-1/2) that cancels it.
-    # (Verified against the exact n^{2H} Var[kernel-increment] limit.)
-    c2 = c_h(H) ** 2
-    if H > 0.5:
-        return c2 / (H - 0.5) ** 2
-    return c2
-
-
 #: Taylor terms of the near-diagonal series for J (c <= 1/2, so the terms
 #: it drops carry c^65 <= 2^-65)
 _BETA3_SERIES_TERMS = 64
@@ -173,7 +163,7 @@ def beta3(H: float, s1, s2, mode: Beta3Mode = Beta3Mode.ZERO):
 
     vectorized over broadcast (s1, s2); a float for scalar arguments.  It is
     scale-covariant, beta3(H, c*s1, c*s2) = c^{2H} beta3(H, s1, s2), and
-    equals ``_beta3_prefactor(H) * hi^{2H} * J(lo/hi)`` with J as in the
+    equals ``beta1(H)**2 * hi^{2H} * J(lo/hi)`` with J as in the
     module docstring (closed form, or its series near the diagonal).
 
     Relative error against a 40-digit evaluation of J, over x = lo/hi from
@@ -196,7 +186,7 @@ def beta3(H: float, s1, s2, mode: Beta3Mode = Beta3Mode.ZERO):
     lo, hi = np.minimum(s1, s2), np.maximum(s1, s2)
     x = np.divide(lo, hi, out=np.ones_like(hi), where=hi > 0)
     if abs(H - 0.5) > CRITICAL_TOL:
-        out = _beta3_prefactor(H) * hi ** (2 * H) * _beta3_raw(H, x)
+        out = beta1(H) ** 2 * hi ** (2 * H) * _beta3_raw(H, x)
     elif mode is Beta3Mode.ZERO:
         out = np.zeros_like(hi)
     else:

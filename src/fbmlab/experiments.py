@@ -10,14 +10,10 @@ expansion against the local-time derivative in the rough regime H < 1/3.
 Both experiments and the two single-path functions call one kernel,
 ``_functionals``, which evaluates f(n^H (B - lam)) and the mollified local
 time along the rows of a value matrix.  Memory has one unit, the FFT group
-of synthesis (``fbm.group_rows``: about 2^16 values, 0.5 MB, at least one
-row).  Each batch of ``batch_size`` paths allocates its buffers once: the
-synthesis buffers of one group (``fbm.SynthesisBuffers``: the value rows,
-the draws and the half spectrum), five group-sized matrices in all.  It
-then draws one group into them, integrates it, and draws the next, so no
-group maps fresh memory for its buffers.  Once a group is drawn its draws
-and half spectrum are spent, and the kernel's scratch (B - lam,
-n^H (B - lam) and the heat-kernel values) lies over them.  A worker holds
+of synthesis; ``fbm`` describes its buffers and how the experiments reuse
+them.  Each batch of ``batch_size`` paths allocates one set, and the
+kernel's scratch (B - lam, n^H (B - lam) and the heat-kernel values) lies
+over the spent draws and half spectrum of each group.  A worker holds
 those buffers and the evaluation temporaries of one group, whatever
 ``batch_size`` and ``path_count`` are: a tracemalloc peak of 3-7 MB on
 grids of 2^12 to 2^17 steps, and ``threads`` workers hold that much each.
@@ -25,12 +21,11 @@ grids of 2^12 to 2^17 steps, and ``threads`` workers hold that much each.
 
 Each n is compensated at its own bandwidth ``config.epsilon(n)``: under
 ``n2h`` it differs per n, and every record of ``clt_experiment`` equals
-``compensated_functional_Z`` of its path.  The
-kernel integrates in time by ``localtime.trapezoid_prefixes``, whose bits at
-a grid index do not depend on the other indices or rows: a record's ``L``
-equals ``mollified_local_time(path, lam, config.epsilon(n)).values[k]`` bit
-for bit at the record's grid index k, and ``Lp`` equals minus the
-derivative kind's value.
+``compensated_functional_Z`` of its path (both call ``_compensated``).  The
+kernel integrates in time by ``localtime.trapezoid_prefixes``, whose bits
+at a grid index do not depend on the other indices or rows: at a record's
+grid index k its ``L`` is bitwise ``mollified_local_time(path, lam,
+config.epsilon(n)).values[k]``, and ``Lp`` minus the derivative kind's.
 
 Monte Carlo bytes are deterministic in (config, seed): every path draws
 from its own substream keyed by (seed, path index) and reductions run in
@@ -394,9 +389,9 @@ def _functionals(values: np.ndarray, fs, H: float, lam: float, ns, eps,
 
 
 def _path_functional(path: FbmPath, f: TestFunction, lam: float, n: int,
-                     t: float, eps=()) -> tuple[float, Optional[float]]:
-    """One-row call of the kernel: the functional and, at a bandwidth given
-    in ``eps``, the mollified local time at time t."""
+                     t: float, eps=()) -> tuple[np.ndarray, np.ndarray]:
+    """One-row call of the kernel: its ``F`` and, at a bandwidth given in
+    ``eps``, its ``L``, at time t."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = _grid_index(t, path.dt, path.N)
@@ -406,15 +401,14 @@ def _path_functional(path: FbmPath, f: TestFunction, lam: float, n: int,
             f"scaled per-step motion {step:.3g} exceeds the test function "
             f"scale {f.scale_hint:.3g}: functional is undersampled",
             UndersamplingWarning)
-    F, L, _ = _functionals(path.values[None], [f], path.H, lam, [n], eps,
-                           [k], path.dt, SynthesisBuffers(path.N, 1))
-    return float(F[0, 0, 0, 0]), (float(L[0, 0, 0]) if eps else None)
+    return _functionals(path.values[None], [f], path.H, lam, [n], eps, [k],
+                        path.dt, SynthesisBuffers(path.N, 1))[:2]
 
 
 def scaled_additive_functional(path: FbmPath, f: TestFunction, lam: float,
                                n: int, t: float) -> float:
     """Trapezoidal integral of f(n^H (B_s - lam)) up to time t."""
-    return _path_functional(path, f, lam, n, t)[0]
+    return _path_functional(path, f, lam, n, t)[0].item()
 
 
 def compensated_functional_Z(path: FbmPath, f: TestFunction, lam: float,
@@ -432,10 +426,9 @@ def compensated_functional_Z(path: FbmPath, f: TestFunction, lam: float,
     H = path.H
     if regime_of(H) is Regime.SUBCRITICAL:
         raise ValueError("compensated functional is defined for H >= 1/3")
-    func, lt = _path_functional(path, f, lam, n, t,
-                                [_epsilon(eps_policy, path.dt, H, n)])
-    return n ** ((H + 1) / 2) * ell(n, H) * (func - n ** (-H) * lt
-                                              * moments(f)[0])
+    F, L = _path_functional(path, f, lam, n, t,
+                            [_epsilon(eps_policy, path.dt, H, n)])
+    return _compensated(F, L, [f], [n], H).item()
 
 
 def _simulate_batches(config: ExperimentConfig, worker):
@@ -497,6 +490,14 @@ def _along(values, ndim: int) -> np.ndarray:
     return np.reshape(values, (-1,) + (1,) * (ndim - 1))
 
 
+def _compensated(F: np.ndarray, L: np.ndarray, fs, ns, H: float) -> np.ndarray:
+    """Z[f, n, t, path] = n^{(H+1)/2} ell_n (F - n^{-H} L int f) from the
+    kernel's ``F`` and ``L``."""
+    return _along([n ** ((H + 1) / 2) * ell(n, H) for n in ns], 3) * (
+        F - _along([n ** (-H) for n in ns], 3) * L
+        * _along([moments(fn)[0] for fn in fs], 4))
+
+
 def _per_path(config: ExperimentConfig, fs, columns: dict) -> PerPath:
     return PerPath(tuple(fn.label for fn in fs), config.n_ladder,
                    config.t_list, columns)
@@ -542,9 +543,7 @@ def clt_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     F, L, _ = _simulate(config, fs, slope=False)
     ns = config.n_ladder
-    Z = _along([n ** ((H + 1) / 2) * ell(n, H) for n in ns], 3) * (
-        F - _along([n ** (-H) for n in ns], 3) * L
-        * _along([moments(fn)[0] for fn in fs], 4))
+    Z = _compensated(F, L, fs, ns, H)
 
     names = ("mean_Z", "slope_Z2_on_L", "cf_distance", "cross_time")
     aggregates: dict = {"a_hat": a_hat} | {

@@ -10,18 +10,16 @@ exposes the driving increments needed by the conditional-mean process).
 experiments and ``sample_paths`` both call it.  Its circulant method uses the
 half spectrum of the Hermitian embedding and transforms the rows in FFT
 groups of about ``_GROUP_VALUES`` values (2^16, at least one row), one
-``numpy.fft.irfft`` and one cumulative sum per group: the per-path draws are
-those of the earlier full-spectrum construction, so paths agree with the
-previous release to ~1e-14, each row comes out bit for bit as a Hermitian
-transform of that row alone would give it, and synthesis memory is the
-output plus the draw and spectrum buffers of one group: five group-sized
-matrices of doubles (values, draws 2, complex half spectrum 2).  The
-amplitudes of the circulant embedding are built in place, in the one
-complex vector their FFT transforms, at a peak of about six vectors of N+1
-doubles.  The group is the unit of work of the experiments too: they draw
-into one ``SynthesisBuffers`` of one group's rows per batch, passed as
-``out``, and integrate each group in its spent draw and spectrum buffers
-before drawing the next.
+``numpy.fft.irfft`` and one cumulative sum per group: each row comes out
+bit for bit as a Hermitian transform of that row alone would give it, and
+synthesis memory is the output plus the draw and spectrum buffers of one
+group: five group-sized matrices of doubles (values, draws 2, complex half
+spectrum 2).  The amplitudes of the circulant embedding are built in
+place, in the one complex vector their FFT transforms, at a peak of about
+six vectors of N+1 doubles.  The group is the unit of work of the
+experiments too: they draw into one ``SynthesisBuffers`` of one group's
+rows per batch, passed as ``out``, and integrate each group in its spent
+draw and spectrum buffers before drawing the next.
 
 The Volterra kernel has the closed form (Decreusefond and Ustunel,
 Potential Analysis 10, 1999)
@@ -358,7 +356,6 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
                       out=values[i, 1:])
         return values
 
-    neg_amp = -amp[1:N]
     d, buf = out.d, out.buf
     group = d.shape[0]
     for g in range(0, count, group):
@@ -369,10 +366,11 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
         np.multiply(d[:rows, 0], amp[0], out=re[:, 0])
         np.multiply(d[:rows, 2:N + 1], amp[1:N], out=re[:, 1:N])
         np.multiply(d[:rows, 1], amp[N], out=re[:, N])
-        # the conjugate of the Hermitian transform, folded into the fill
+        # the conjugate of the Hermitian transform, negated in place
         # (negation commutes with rounding); the draws are spent, so the
         # transform writes over them
-        np.multiply(d[:rows, N + 1:], neg_amp, out=im[:, 1:N])
+        np.multiply(d[:rows, N + 1:], amp[1:N], out=im[:, 1:N])
+        np.negative(im[:, 1:N], out=im[:, 1:N])
         im[:, 0] = im[:, N] = 0.0
         np.fft.irfft(buf[:rows], 2 * N, axis=-1, norm="forward",
                      out=d[:rows])
@@ -384,11 +382,9 @@ def sample_paths(H: float, T: float, N: int, count: int, seed: int,
                  method: str = "circulant") -> list[FbmPath]:
     """Draw `count` independent paths; deterministic in (seed, path index).
 
-    Circulant and cholesky paths are the rows of ``sample_values``.  The
-    circulant draws per path are those of the earlier full-spectrum
-    construction, so its paths agree with that release to ~1e-14 (the
-    transform's rounding differs), and synthesis memory is the returned
-    values plus the buffers of one group of rows.
+    Circulant and cholesky paths are the rows of ``sample_values``, and
+    synthesis memory is the returned values plus the buffers of one group
+    of rows.
     """
     increments = None
     if method != "volterra":

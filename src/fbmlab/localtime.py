@@ -3,6 +3,12 @@
 Two constructions: mollification by the heat kernel (level and spatial
 derivative), and truncated Fourier inversion on a symmetric frequency grid.
 
+The heat kernels are also the Gaussian test functions of ``testfuncs``.
+IEEE 754 leaves the sign of a NaN product to the machine, so each keeps the
+step order of its formula in ``tests/oracles.formula_gaussian_*``, which
+pins the bits, NaN signs included: ``heat_kernel`` squares x, then negates
+(safe in place on x); ``heat_kernel_prime`` negates x, then multiplies by x.
+
 Every time integral in the package is taken by one trapezoid rule,
 ``trapezoid_prefixes``: the mollified and Fourier curves, the occupation
 integrals, ``expected_mollified_local_time``, and the experiments'
@@ -30,13 +36,15 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .constants import Regime, _check_h, regime_of
 from .fbm import FbmPath
-from .testfuncs import TestFunction
+
+if TYPE_CHECKING:  # for annotations only: testfuncs imports the kernels
+    from .testfuncs import TestFunction
 
 __all__ = [
     "heat_kernel", "heat_kernel_prime", "LocalTimeCurve",
@@ -84,35 +92,34 @@ def _exp(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _gauss(eps: float, x: np.ndarray, out: Optional[np.ndarray]):
-    """exp(-x^2 / (2 eps)), into ``out`` when given."""
-    if out is None:
-        out = np.empty(x.shape)
-    np.negative(x, out=out)
-    np.multiply(out, x, out=out)
-    np.divide(out, 2.0 * eps, out=out)
-    return _exp(out, out=out)
-
-
 def heat_kernel(eps: float, x, out: Optional[np.ndarray] = None):
-    """Centered Gaussian density of variance eps; written into ``out``
-    (shaped like x) when given, with the same bits."""
+    """Centered Gaussian density of variance eps; written into and returned
+    as ``out`` (shaped like x, and x itself allowed) when given, with the
+    same bits; a float for a 0-d x without ``out``."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
-    g = _gauss(eps, x, out)
-    res = np.divide(g, math.sqrt(2.0 * math.pi * eps), out=g)
-    return float(res) if res.ndim == 0 else res
+    res = np.square(x, out=np.empty_like(x) if out is None else out)
+    np.negative(res, out=res)
+    res /= 2.0 * eps
+    _exp(res, out=res)
+    res /= math.sqrt(2.0 * math.pi * eps)
+    return res if out is not None or res.ndim else float(res)
 
 
 def heat_kernel_prime(eps: float, x, out: Optional[np.ndarray] = None):
     """x-derivative of the heat kernel: -(x/eps) * p_eps(x); written into
-    ``out`` (shaped like x) when given, with the same bits."""
+    and returned as ``out`` (shaped like x, not x itself) when given."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
-    g = _gauss(eps, x, out)
-    res = np.divide(np.multiply(-(x / eps), g, out=g),
-                    math.sqrt(2.0 * math.pi * eps), out=g)
-    return float(res) if res.ndim == 0 else res
+    res = np.negative(x, out=np.empty_like(x) if out is None else out)
+    res *= x
+    res /= 2.0 * eps
+    _exp(res, out=res)
+    scaled = np.negative(x)
+    scaled /= eps
+    np.multiply(scaled, res, out=res)
+    res /= math.sqrt(2.0 * math.pi * eps)
+    return res if out is not None or res.ndim else float(res)
 
 
 @dataclass(frozen=True)

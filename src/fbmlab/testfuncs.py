@@ -15,12 +15,14 @@ Every built-in carries closed-form moments and a closed-form Fourier
 transform (``poly_bump`` up to k = 40); the numeric quadratures serve the
 other functions, and import ``scipy.integrate`` on their first call.
 
-The evaluators of ``gaussian_bump``, ``gaussian_derivative``, ``indicator``
-and ``hat`` write the steps of their formula, in its operand order, into
-one output array laid out like the argument (``hat`` and
-``gaussian_derivative`` also need one temporary), so each step runs the
-loop the formula's own temporaries ran and the bits are the formula's.  A
-0-d argument gets the bits of a one-element array: for ``gaussian_bump``
+The Gaussian test functions are the heat kernels of ``localtime``, p_s2 at
+x - center and p'_s2 with s2 = sigma^2, each keeping the step order of its
+formula in ``tests/oracles.formula_gaussian_*`` and so its bits, NaN signs
+included.  ``indicator`` and ``hat`` write the steps of their formula, in
+its operand order, into one output array laid out like the argument
+(``hat`` also needs one temporary), so each step runs the loop the
+formula's own temporaries ran and the bits are the formula's.  A 0-d
+argument gets the bits of a one-element array: for ``gaussian_bump``
 numpy's scalar power could round the square differently.
 """
 from __future__ import annotations
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .localtime import heat_kernel, heat_kernel_prime
 
 __all__ = [
     "TestFunction", "weighted_norm", "in_xi", "require_xi", "moments",
@@ -181,19 +185,28 @@ def _fourier_numeric(f: TestFunction, eta: float) -> complex:
 # built-ins
 
 
-def gaussian_bump(sigma: float = 1.0, center: float = 0.0) -> TestFunction:
-    """Normalized Gaussian density with the given width and center."""
+def _check_gaussian(name: str, sigma: float, center: float = 0.0) -> float:
+    """The variance sigma^2 of a Gaussian built-in; the heat kernel divides
+    by it and by 2 pi times it, so both must be normal doubles."""
     s2 = sigma * sigma
+    if not (sigma > 0 and np.finfo(float).tiny <= s2
+            and 2 * math.pi * s2 < math.inf):
+        raise ValueError(f"{name} requires a finite sigma > 0 with sigma^2 and"
+                         f" 2 pi sigma^2 normal doubles, got sigma={sigma!r}")
+    if not math.isfinite(center):
+        raise ValueError(f"{name} requires a finite center, got "
+                         f"center={center!r}")
+    return s2
+
+
+def gaussian_bump(sigma: float = 1.0, center: float = 0.0) -> TestFunction:
+    """Normalized Gaussian density with the given width and center: the
+    heat kernel p_{sigma^2}(x - center)."""
+    s2 = _check_gaussian("gaussian_bump", sigma, center)
 
     def ev(x):
-        # exp(-(x - center)^2 / (2 s2)) / sqrt(2 pi s2), one step at a time
-        out = np.subtract(x, center, out=np.empty_like(x, dtype=float))
-        out **= 2
-        np.negative(out, out=out)
-        out /= 2 * s2
-        np.exp(out, out=out)
-        out /= math.sqrt(2 * math.pi * s2)
-        return out
+        y = np.subtract(x, center, out=np.empty_like(x, dtype=float))
+        return heat_kernel(s2, y, out=y)
 
     def ft(eta):
         return np.exp(1j * eta * center - s2 * np.asarray(eta) ** 2 / 2.0)
@@ -204,21 +217,12 @@ def gaussian_bump(sigma: float = 1.0, center: float = 0.0) -> TestFunction:
 
 
 def gaussian_derivative(sigma: float = 1.0) -> TestFunction:
-    """x-derivative of the centered Gaussian density: zero total mass,
-    first moment -1 (the classic zero-energy example)."""
-    s2 = sigma * sigma
+    """x-derivative of the centered Gaussian density, p'_{sigma^2}: zero
+    total mass, first moment -1 (the classic zero-energy example)."""
+    s2 = _check_gaussian("gaussian_derivative", sigma)
 
     def ev(x):
-        # -x / s2 * exp(-x x / (2 s2)) / sqrt(2 pi s2), one step at a time
-        out = np.negative(x, out=np.empty_like(x, dtype=float))
-        out *= x
-        out /= 2 * s2
-        np.exp(out, out=out)
-        scaled = np.negative(x)
-        scaled /= s2
-        np.multiply(scaled, out, out=out)
-        out /= math.sqrt(2 * math.pi * s2)
-        return out
+        return heat_kernel_prime(s2, x, out=np.empty_like(x, dtype=float))
 
     def ft(eta):
         eta = np.asarray(eta)

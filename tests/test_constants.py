@@ -177,7 +177,7 @@ class TestBeta3:
         for H in (0.25, 0.75):
             a = H - 0.5
             val = cst.beta3(H, 1.0 - c, 1.0)
-            lead = cst._beta3_prefactor(H) * a * a * c * c / (2 - 2 * H)
+            lead = cst.beta1(H) ** 2 * a * a * c * c / (2 - 2 * H)
             assert val > 0.0
             assert val == pytest.approx(lead, rel=1e-5)
 

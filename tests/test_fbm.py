@@ -339,6 +339,20 @@ class TestHalfSpectrum:
             tracemalloc.stop()
         assert peak <= 2 * count * (N + 1) * 8
 
+    def test_buffered_draw_allocates_no_vector(self):
+        # with the spectrum cached and the buffers passed in, a draw
+        # allocates only the substream generator and small index objects
+        H, N = 1.0 / 3.0, 2 ** 14
+        out = fbm.SynthesisBuffers(N, 1)
+        fbm.sample_values(H, 1.0, N, 1, seed=0, out=out)
+        tracemalloc.start()
+        try:
+            fbm.sample_values(H, 1.0, N, 1, seed=1, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * (N + 1) * 8
+
     def test_spectrum_memory_is_six_vectors(self):
         # built in place: the k vector, the complex length-2N FFT vector
         # and one more vector of N+1 doubles, not a dozen temporaries

@@ -394,3 +394,18 @@ def test_import_loads_no_interpolation_module():
     code = ("import sys, fbmlab; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] == ['scipy', 'interpolate']))")
     assert _fresh_interpreter(code).strip() == "[]"
+
+
+SUBMODULES = sorted(
+    name for name in os.listdir(os.path.dirname(limits.__file__))
+    if name.endswith(".py") and name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", [m[:-3] for m in SUBMODULES])
+def test_each_submodule_imports_first_without_scipy(module):
+    # the submodules import one another (testfuncs takes the heat kernels
+    # from localtime, which names TestFunction for annotations only), so an
+    # import cycle fails the import, whichever module is asked for first
+    code = (f"import sys, fbmlab.{module}; print(sorted({{m.split('.')[0] "
+            f"for m in sys.modules}} & {{'scipy'}}))")
+    assert _fresh_interpreter(code).strip().splitlines()[-1] == "[]"

@@ -219,6 +219,24 @@ class TestCli:
         Path(cfg_file).write_text(json.dumps(cfg))
         assert cli.main(["clt-experiment", "--config", cfg_file]) == 3
 
+    @pytest.mark.parametrize("spec", ["gaussian_bump:sigma=0",
+                                      "gaussian_derivative:sigma=-1"])
+    def test_degenerate_gaussian_exit_code(self, tmp_path, monkeypatch,
+                                           capsys, spec):
+        # the spec is refused before any path is drawn or constant computed
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(exp, "sample_values", no_draw)
+        cfg = {"H": 1 / 3, "f": [spec], "t_list": [1.0], "n_ladder": [4, 8],
+               "path_count": 4, "grid_per_unit": 64, "seed": 0}
+        cfg_file = str(tmp_path / "exp.json")
+        Path(cfg_file).write_text(json.dumps(cfg))
+        assert cli.main(["clt-experiment", "--config", cfg_file]) == 2
+        assert cli.main(["limit-const", "--H", "0.6", "--f", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("requires a finite sigma > 0") == 2
+
     def test_invalid_grid_exit_code(self, tmp_path):
         cfg = {"H": 0.6, "t_list": [1.0], "n_ladder": [4, 8],
                "path_count": 4, "grid_per_unit": 0, "seed": 0}

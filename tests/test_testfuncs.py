@@ -242,6 +242,36 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=f"{name} requires a < b"):
             tf.BUILTINS[name](a=1.0, b=1.0)
 
+    @pytest.mark.parametrize("name", ["gaussian_bump",
+                                      "gaussian_derivative"])
+    @pytest.mark.parametrize("sigma", [
+        0.0, -1.0, math.nan, math.inf,
+        1e-170,     # sigma^2 underflows to 0
+        1e-160,     # sigma^2 is subnormal
+        1e154,      # 2 pi sigma^2 overflows
+        1e155])     # sigma^2 overflows
+    def test_degenerate_sigma_rejected(self, name, sigma):
+        # sigma=0 gave NaN statistics, sigma=-1 a scale_hint of -1
+        for make in (lambda: tf.BUILTINS[name](sigma=sigma),
+                     lambda: tf.from_spec(f"{name}:sigma={sigma!r}")):
+            with pytest.raises(ValueError, match=f"{name} requires a finite "
+                                                 f"sigma > 0") as exc:
+                make()
+            assert f"got sigma={sigma!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="gaussian_bump requires a "
+                                             "finite center") as exc:
+            tf.gaussian_bump(center=center)
+        assert f"center={center!r}" in str(exc.value)
+
+    def test_extreme_valid_sigmas_accepted(self):
+        for sigma in (1e-150, 1e150):
+            for f in (tf.gaussian_bump(sigma), tf.gaussian_derivative(sigma)):
+                assert f.scale_hint == sigma
+                assert np.isfinite(f(np.array([0.0, sigma]))).all()
+
     def test_builtins_declare_membership(self):
         for name, factory in tf.BUILTINS.items():
             f = factory()
