@@ -4,13 +4,17 @@ The constants are pure functions of H and f, so every quadrature has fixed
 orders.  ``a_h`` evaluates the double-time-scale form for H > 1/3 (Hu,
 Nualart and Xu, Ann. Probab. 2014) by 48-node Gauss-Hermite x tensor
 Gauss-Legendre quadrature at 64 and 128 nodes per axis, the change between
-them being its error estimate; ``a_one_third`` is m1(f) m1(g) times one
-number per convention; ``covariance_matrix`` assembles the limit covariance
-of a vector of test functions and its PSD square root.  One kernel,
-``_a_h_tensor``, serves a whole matrix: one node-chunked pass per tensor
-order with one Fourier profile per function (``a_h`` is one pair), taken
-from the function's closed-form transform; ``a_h`` and
-``covariance_matrix`` refuse a function without one.
+them being its error estimate.  The rule is folded by two exact symmetries
+of the integrand: it is even in the frequency (F(-eta) = conj F(eta) for
+real f), so the 24 positive Hermite nodes run at twice their weight, and
+symmetric in the two time scales (``beta3`` takes their min and max), so
+only the upper triangle runs, 2080 and 8256 nodes.  ``a_one_third`` is
+m1(f) m1(g) times one number per convention; ``covariance_matrix``
+assembles the limit covariance of a vector of test functions and its PSD
+square root.  One kernel, ``_a_h_tensor``, serves a whole matrix: one
+node-chunked pass per tensor order with one Fourier profile per function
+(``a_h`` is one pair), taken from the function's closed-form transform;
+``a_h`` and ``covariance_matrix`` refuse a function without one.
 
 Nothing here loads scipy, and neither does ``import fbmlab``: path
 synthesis uses ``numpy.fft`` and ``constants`` sums its series itself.  The
@@ -98,21 +102,40 @@ class _FourierProfile:
         return np.asarray(self._ft(eta)) - self._m0
 
 
-#: Gauss-Hermite nodes of the frequency integral
+#: Gauss-Hermite nodes of the frequency integral (the kernel runs the 24
+#: positive ones)
 _GH_ORDER = 48
 #: Gauss-Legendre nodes per time-scale axis: coarse, then fine (the value)
 _GL_ORDERS = (64, 128)
-#: time-scale nodes per chunk of the a_h kernel (x _GH_ORDER values each)
+#: time-scale nodes per chunk of the a_h kernel (x _GH_ORDER // 2 values
+#: each); the folded grids of 2080 and 8256 nodes take 3 and 9 chunks
 _CHUNK_NODES = 2 ** 10
 
 
 def _a_h_tensor(profiles: Sequence[_FourierProfile], pairs, H: float,
                 order: int) -> np.ndarray:
     """The a_h kernel at tensor order ``order``: the form of ``profiles[i]``
-    and ``profiles[j]`` for each (i, j) in ``pairs``."""
+    and ``profiles[j]`` for each (i, j) in ``pairs``.
+
+    The rule is the full ``_GH_ORDER``-point Gauss-Hermite rule times the
+    full ``order`` x ``order`` Gauss-Legendre grid, folded by two exact
+    symmetries of the integrand:
+
+      * it is even in eta, as F(-eta) = conj F(eta) for real f makes
+        Re F conj G even; the Hermite nodes are antisymmetric with equal
+        weights, so the positive nodes carry twice their weight (an odd
+        rule's zero node has y^2 = 0 and drops out);
+      * V(s1, s2) is symmetric, ``beta3`` taking the min and max of its
+        arguments, so only the nodes i <= j of the time-scale grid run, an
+        off-diagonal one weighted 2 w_i w_j.
+
+    That is a quarter of the unfolded profile values.  Each pair's row is
+    reduced by its own dot, so a pair's value does not depend on which
+    other pairs share the call."""
     b1, b2 = beta1(H), beta2(H)
     p = 1.0 / (H + 0.5)
     y, wy = np.polynomial.hermite.hermgauss(_GH_ORDER)
+    y, wy = y[y > 0], 2.0 * wy[y > 0]
 
     # s = (u / (1 - u))^p maps the unit interval onto the half line
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -120,23 +143,22 @@ def _a_h_tensor(profiles: Sequence[_FourierProfile], pairs, H: float,
     w = 0.5 * weights / (1.0 - u) ** 2
     s = (u / (1.0 - u)) ** p
 
-    S1, S2 = np.meshgrid(s, s, indexing="ij")
-    V = b2 * (S1 ** (2 * H) + S2 ** (2 * H)) + beta3(H, S1, S2)
-    Vf = V.ravel()
+    lo, hi = np.triu_indices(order)
+    ww = np.where(lo == hi, 1.0, 2.0) * w[lo] * w[hi]
+    V = b2 * (s[lo] ** (2 * H) + s[hi] ** (2 * H)) + beta3(H, s[lo], s[hi])
     # eta-integral with the exact Gaussian weight:
     #   int eta^2 b(eta) exp(-V eta^2 / 2) deta
     #     = (2/V)^{3/2} sum_i w_i y_i^2 b(y_i sqrt(2/V))
-    inner = np.empty((len(pairs), Vf.size))
-    for start in range(0, Vf.size, _CHUNK_NODES):
-        Vc = Vf[start:start + _CHUNK_NODES]
+    inner = np.empty((len(pairs), V.size))
+    for start in range(0, V.size, _CHUNK_NODES):
+        Vc = V[start:start + _CHUNK_NODES]
         eta = y[:, None] * np.sqrt(2.0 / Vc)[None, :]
         shifted = [prof.shifted(eta) for prof in profiles]
         for k, (i, j) in enumerate(pairs):
             bvals = (shifted[i] * np.conj(shifted[j])).real
             inner[k, start:start + Vc.size] = (2.0 / Vc) ** 1.5 * np.einsum(
                 "q,q,qn->n", wy, y * y, bvals)
-    total = np.array([np.einsum("i,j,ij->", w, w, row.reshape(V.shape))
-                      for row in inner])
+    total = np.array([row @ ww for row in inner])
     return b1 * b1 / (2.0 * math.pi) * p * p * total
 
 

@@ -3,7 +3,9 @@
 Everything here avoids the library's own numerical routes: the gamma
 function is a hand-rolled Lanczos approximation, the integrals are classic
 Romberg (trapezoid + Richardson) on explicitly substituted variables, and
-the variance-form oracle is a brute-force tensor-grid trapezoid rule.
+the variance-form oracle is a brute-force tensor-grid trapezoid rule.  The
+one exception is ``reference_a_h_tensor``, the a_h kernel before its
+symmetry folds, which reuses the library's constants and profiles.
 """
 from __future__ import annotations
 
@@ -216,6 +218,46 @@ def oracle_a_h_tensor(H: float, sigma: float = 1.0, m_s: int = 400,
     total = np.einsum("i,j,ij->", w, w, weight * inner.reshape(S1.shape))
     return b1 * b1 / (2.0 * math.pi) * total
 
+
+def reference_a_h_tensor(profiles, pairs, H: float, order: int,
+                         gh_order: int = 48) -> np.ndarray:
+    """The unfolded a_h kernel, kept as the reference for ``limits``'
+    folded one: the full ``gh_order``-node Gauss-Hermite rule on both signs
+    of eta and the full ``order`` x ``order`` Gauss-Legendre time-scale grid.
+
+    Unlike the rest of this module it runs the library's ``beta1``,
+    ``beta2``, ``beta3`` and Fourier profiles (``limits._FourierProfile``),
+    so it pins the two symmetry folds and nothing else."""
+    from fbmlab.constants import beta1, beta2, beta3
+
+    b1, b2 = beta1(H), beta2(H)
+    p = 1.0 / (H + 0.5)
+    y, wy = np.polynomial.hermite.hermgauss(gh_order)
+
+    # s = (u / (1 - u))^p maps the unit interval onto the half line
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights / (1.0 - u) ** 2
+    s = (u / (1.0 - u)) ** p
+
+    S1, S2 = np.meshgrid(s, s, indexing="ij")
+    V = b2 * (S1 ** (2 * H) + S2 ** (2 * H)) + beta3(H, S1, S2)
+    Vf = V.ravel()
+    # eta-integral with the exact Gaussian weight:
+    #   int eta^2 b(eta) exp(-V eta^2 / 2) deta
+    #     = (2/V)^{3/2} sum_i w_i y_i^2 b(y_i sqrt(2/V))
+    inner = np.empty((len(pairs), Vf.size))
+    for start in range(0, Vf.size, 2 ** 10):
+        Vc = Vf[start:start + 2 ** 10]
+        eta = y[:, None] * np.sqrt(2.0 / Vc)[None, :]
+        shifted = [prof.shifted(eta) for prof in profiles]
+        for k, (i, j) in enumerate(pairs):
+            bvals = (shifted[i] * np.conj(shifted[j])).real
+            inner[k, start:start + Vc.size] = (2.0 / Vc) ** 1.5 * np.einsum(
+                "q,q,qn->n", wy, y * y, bvals)
+    total = np.array([np.einsum("i,j,ij->", w, w, row.reshape(V.shape))
+                      for row in inner])
+    return b1 * b1 / (2.0 * math.pi) * p * p * total
 
 def oracle_a_one_third_s_integral(literal_beta3: bool = True,
                                   pts: int = 2049) -> float:

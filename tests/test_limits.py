@@ -247,10 +247,12 @@ class TestKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        # the folded grid peaks near 4.4 MB, the unfolded one near 8.5 MB
+        assert peak <= 6 * 2 ** 20
 
     def test_chunking_changes_no_value(self, monkeypatch):
-        # 64^2 and 128^2 nodes leave partial last chunks of 96 and 384
+        # the folded grids' 2080 and 8256 nodes leave partial last chunks
+        # of 80 and 256
         monkeypatch.setattr(limits, "_CHUNK_NODES", 1000)
         chunked = limits.covariance_matrix([GD, tf.hat()], 0.7)
         monkeypatch.setattr(limits, "_CHUNK_NODES", 10 ** 6)
@@ -258,6 +260,58 @@ class TestKernel:
         assert np.array_equal(chunked.matrix, whole.matrix)
         assert np.array_equal(chunked.quadrature_report,
                               whole.quadrature_report)
+
+
+class TestFoldedKernel:
+    """The kernel folds the Hermite rule onto its positive nodes and the
+    time-scale grid onto i <= j; the unfolded rule is the reference."""
+
+    FUNCTIONS = (tf.gaussian_derivative(1.0), tf.poly_bump(k=2), tf.hat(),
+                 tf.gaussian_bump(1.0, 0.5), tf.indicator(0, 1))
+
+    @staticmethod
+    def assert_matches_reference(H, order, fs=FUNCTIONS):
+        profiles = [limits._FourierProfile(fn) for fn in fs]
+        pairs = list(zip(*np.triu_indices(len(fs))))
+        got = limits._a_h_tensor(profiles, pairs, H, order)
+        want = oracles.reference_a_h_tensor(profiles, pairs, H, order,
+                                            gh_order=limits._GH_ORDER)
+        # relative to the pair's Cauchy-Schwarz scale: an odd f against an
+        # even g has a form of zero, up to rounding
+        diag = {i: want[pairs.index((i, i))] for i in range(len(fs))}
+        scale = np.array([math.sqrt(diag[i] * diag[j]) for i, j in pairs])
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        return got, want, scale
+
+    @pytest.mark.parametrize("H", [0.4, 0.6, 0.75, 0.9])
+    def test_matches_unfolded_reference(self, H):
+        # the shifted Gaussian bump has a complex profile
+        (coarse, ref_coarse, _), (fine, ref_fine, scale) = (
+            self.assert_matches_reference(H, order)
+            for order in limits._GL_ORDERS)
+        err, ref_err = np.abs(fine - coarse), np.abs(ref_fine - ref_coarse)
+        assert np.all(np.abs(err - ref_err) <= 1e-13 * scale)
+
+    def test_odd_hermite_order(self, monkeypatch):
+        # an odd rule's zero node carries y^2 = 0, so the fold drops it
+        monkeypatch.setattr(limits, "_GH_ORDER", 47)
+        for order in limits._GL_ORDERS:
+            self.assert_matches_reference(0.6, order, self.FUNCTIONS[:3])
+
+    @pytest.mark.parametrize("H", [0.4, 0.6, 0.75, 0.9])
+    def test_beta3_symmetric_on_the_grid(self, H):
+        for order in limits._GL_ORDERS:
+            # the kernel's time-scale nodes
+            nodes, _ = np.polynomial.legendre.leggauss(order)
+            u = 0.5 * (nodes + 1.0)
+            s = (u / (1.0 - u)) ** (1.0 / (H + 0.5))
+            S1, S2 = np.meshgrid(s, s, indexing="ij")
+            assert np.array_equal(cst.beta3(H, S1, S2), cst.beta3(H, S2, S1))
+
+    def test_hermite_nodes_antisymmetric(self):
+        y, wy = np.polynomial.hermite.hermgauss(limits._GH_ORDER)
+        assert np.array_equal(y, -y[::-1])
+        assert np.array_equal(wy, wy[::-1])
 
 
 class TestCovarianceMatrix:
