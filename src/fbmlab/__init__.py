@@ -1,8 +1,8 @@
 """fbmlab: fractional Brownian motion synthesis, local times, and the limit
 theory of their additive functionals."""
 
-from .constants import (Beta3Mode, HurstConfig, Regime, beta1, beta2, beta3,
-                        c_h, ell, regime_of)
+from .constants import (Beta3Mode, Regime, beta1, beta2, beta3, c_h, ell,
+                        regime_of)
 from .errors import CostGuardError
 from .experiments import (ExperimentConfig, ExperimentReport,
                           clt_experiment, compensated_functional_Z,

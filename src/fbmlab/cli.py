@@ -35,20 +35,20 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_constants(args) -> int:
     H = args.H
-    cfg = cst.HurstConfig.from_h(H)
+    regime = cst.regime_of(H)
     payload = {
         "H": H,
-        "regime": cfg.regime.value,
-        "c_H": cfg.c_h,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
+        "regime": regime.value,
+        "c_H": cst.c_h(H),
+        "beta1": cst.beta1(H),
+        "beta2": cst.beta2(H),
     }
     if args.beta3:
         s1, s2 = (float(x) for x in args.beta3.split(","))
         mode = cst.Beta3Mode.LIMIT if args.beta3_limit_mode else cst.Beta3Mode.ZERO
         payload["beta3"] = {"s1": s1, "s2": s2,
                             "value": cst.beta3(H, s1, s2, mode=mode)}
-    if cfg.regime is not cst.Regime.SUBCRITICAL:
+    if regime is not cst.Regime.SUBCRITICAL:
         payload["ell"] = {str(n): cst.ell(n, H)
                           for n in (2, 10, 100, 1000, 10000)}
     _emit(payload, args.out)

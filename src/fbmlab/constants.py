@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,30 +208,3 @@ def ell(n: int, H: float) -> float:
     if reg is Regime.SUBCRITICAL:
         raise ValueError(f"ell is defined only for H >= 1/3, got H={H}")
     return 1.0 / math.sqrt(math.log(n)) if reg is Regime.CRITICAL else 1.0
-
-
-@dataclass(frozen=True)
-class HurstConfig:
-    """Bundle of the scalar constants derived from one Hurst parameter."""
-
-    H: float
-    regime: Regime
-    c_h: float
-    beta1: float
-    beta2: float
-
-    @classmethod
-    def from_h(cls, H: float) -> "HurstConfig":
-        _check_h(H)
-        return cls(H=H, regime=regime_of(H), c_h=c_h(H),
-                   beta1=beta1(H), beta2=beta2(H))
-
-    def __post_init__(self) -> None:
-        _check_h(self.H)
-        if self.regime is not regime_of(self.H):
-            raise ValueError("regime inconsistent with H")
-        if not math.isclose(self.beta2 * 2 * self.H, self.beta1 ** 2,
-                            rel_tol=1e-12):
-            raise ValueError("beta2 must equal beta1^2/(2H)")
-        if abs(self.H - 0.5) <= CRITICAL_TOL and self.c_h != 1.0:
-            raise ValueError("c_h must be exactly 1 at H=1/2")

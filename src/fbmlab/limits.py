@@ -37,8 +37,8 @@ Normalization notes (validated against exact second-moment quadrature of
 the functionals, and against the classical Brownian constant 4*int F^2 at
 H = 1/2):
   * the bilinear kernel pairs the shifted transforms as F * conj(G), which
-    is positive-definite; the as-printed sign -F * conj(G) is kept for
-    audit in ``b_eta(literal=True)`` only;
+    is positive-definite; the printed sign -F * conj(G) is negative on the
+    diagonal, so it cannot be a variance kernel;
   * the overall factor is beta1^2/(2*pi), and the critical-case factor is
     3*sqrt(2)*beta1^2/sqrt(pi).
 """
@@ -70,20 +70,17 @@ class QuadResult(NamedTuple):
     error: float
 
 
-def b_eta(f: TestFunction, g: TestFunction, eta: float,
-          literal: bool = False) -> complex:
+def b_eta(f: TestFunction, g: TestFunction, eta: float) -> complex:
     """Bilinear frequency kernel F(eta) * conj(G(eta)) built from the
     zero-subtracted transforms F = fhat - fhat(0).
 
-    With ``literal=True`` the opposite (as-printed) sign -F * conj(G) is
-    returned for auditability; that variant is negative on the diagonal and
-    cannot be a variance kernel.
+    The paper prints the opposite sign, -F * conj(G), which is negative on
+    the diagonal and so cannot be a variance kernel.
     """
     require_xi((f, g), 1.0)
     F = fourier(f, eta) - fourier(f, 0.0)
     G = fourier(g, eta) - fourier(g, 0.0)
-    out = F * np.conj(G)
-    return -out if literal else out
+    return F * np.conj(G)
 
 
 class _FourierProfile:

@@ -24,7 +24,8 @@ index k (minus the derivative kind, its ``Lp``).
 
 Two exact expectations serve as oracles.  ``expected_local_time`` is
 E[L_t(lam)] for the true local time.  ``expected_mollified_local_time`` is
-the exact mean of the level-kind mollified estimator on an N-step grid.  At
+the exact mean of the level-kind mollified estimator on an N-step grid,
+``heat_kernel`` at lam with one variance per grid point.  At
 a fixed bandwidth eps and finite N the estimator is biased for E[L_t(lam)]:
 it smooths each B_s by eps and integrates by the trapezoid rule, so the two
 oracles differ (by about -1.5% at H=1/2, N=4096, eps=dt^{2H}) and a Monte
@@ -59,9 +60,16 @@ class DivergentEstimatorWarning(UserWarning):
     """The derivative-kind estimator has no L2 limit for H >= 1/3."""
 
 
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < math.inf:
+def _check_eps(eps) -> None:
+    """Every entry of eps (a scalar or an array) positive and finite."""
+    e = np.asarray(eps)
+    if not np.all((e > 0) & (e < math.inf)):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("level", "derivative"):
+        raise ValueError(f"unknown kind {kind!r}")
 
 
 def _check_lam(lam) -> float:
@@ -92,17 +100,20 @@ def _exp(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def heat_kernel(eps: float, x, out: Optional[np.ndarray] = None):
-    """Centered Gaussian density of variance eps; written into and returned
-    as ``out`` (shaped like x, and x itself allowed) when given, with the
-    same bits; a float for a 0-d x without ``out``."""
+def heat_kernel(eps, x, out: Optional[np.ndarray] = None):
+    """Centered Gaussian density of variance eps at x, where eps is a scalar
+    or an array broadcast against x; written into and returned as ``out``
+    (shaped like the result, and x itself allowed) when given, with the
+    same bits; a float for 0-d eps and x without ``out``."""
     _check_eps(eps)
     x = np.asarray(x, dtype=float)
+    if np.ndim(eps):
+        x = np.broadcast_to(x, np.broadcast_shapes(x.shape, np.shape(eps)))
     res = np.square(x, out=np.empty_like(x) if out is None else out)
     np.negative(res, out=res)
     res /= 2.0 * eps
     _exp(res, out=res)
-    res /= math.sqrt(2.0 * math.pi * eps)
+    res /= np.sqrt(2.0 * math.pi * eps)
     return res if out is not None or res.ndim else float(res)
 
 
@@ -140,8 +151,7 @@ class LocalTimeCurve:
     d_xi: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("level", "derivative"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+        _check_kind(self.kind)
         if self.estimator not in ("mollified", "fourier"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.values.shape != (self.N + 1,):
@@ -220,6 +230,7 @@ def mollified_local_time(path: FbmPath, lam: float, eps: float,
     applied to the path, at level lam."""
     lam = _check_lam(lam)
     _check_eps(eps)
+    _check_kind(kind)
     if kind == "derivative" and regime_of(path.H) is not Regime.SUBCRITICAL:
         warnings.warn("derivative-kind local time diverges (as the bandwidth "
                       "shrinks) for H >= 1/3", DivergentEstimatorWarning)
@@ -247,6 +258,7 @@ def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
     the estimate folds in the levels lam + j 2 pi/d_xi with sign (-1)^j.
     A grid of more than 2^52 frequencies per side is refused."""
     lam = _check_lam(lam)
+    _check_kind(kind)
     if not (0 < xi_max < math.inf and 0 < d_xi < math.inf
             and xi_max / d_xi < math.inf):
         raise ValueError("xi_max, d_xi and their ratio must be positive and "
@@ -341,5 +353,4 @@ def expected_mollified_local_time(H: float, t: float, lam: float,
     if t == 0.0:
         return 0.0
     var = np.linspace(0.0, t, N + 1) ** (2 * H) + eps
-    dens = np.exp(-lam * lam / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
-    return float(trapezoid_prefixes(dens, t / N, [N])[0])
+    return float(trapezoid_prefixes(heat_kernel(var, lam), t / N, [N])[0])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import hyp2f1
 
 from fbmlab import constants as cst
-from fbmlab.constants import Beta3Mode, HurstConfig, Regime
+from fbmlab.constants import Beta3Mode, Regime
 
 import oracles
 
@@ -246,23 +246,15 @@ class TestEll:
             cst.ell(1, 0.5)
 
 
-class TestHurstConfig:
-    def test_from_h_consistent(self):
-        cfg = HurstConfig.from_h(0.4)
-        assert cfg.regime is Regime.SUPERCRITICAL
-        assert cfg.beta2 * 2 * cfg.H == pytest.approx(cfg.beta1 ** 2,
-                                                      rel=1e-14)
-
+class TestRegime:
     def test_regimes(self):
-        assert HurstConfig.from_h(0.2).regime is Regime.SUBCRITICAL
-        assert HurstConfig.from_h(1 / 3).regime is Regime.CRITICAL
-        assert HurstConfig.from_h(0.8).regime is Regime.SUPERCRITICAL
+        assert cst.regime_of(0.2) is Regime.SUBCRITICAL
+        assert cst.regime_of(1 / 3) is Regime.CRITICAL
+        assert cst.regime_of(0.8) is Regime.SUPERCRITICAL
 
-    def test_inconsistent_rejected(self):
-        good = HurstConfig.from_h(0.6)
-        with pytest.raises(ValueError):
-            HurstConfig(H=0.6, regime=Regime.SUBCRITICAL, c_h=good.c_h,
-                        beta1=good.beta1, beta2=good.beta2)
-        with pytest.raises(ValueError):
-            HurstConfig(H=0.6, regime=Regime.SUPERCRITICAL, c_h=good.c_h,
-                        beta1=good.beta1, beta2=good.beta2 * 1.01)
+    @pytest.mark.parametrize("offset, regime", [
+        (-5e-13, Regime.CRITICAL), (5e-13, Regime.CRITICAL),
+        (-2e-12, Regime.SUBCRITICAL), (2e-12, Regime.SUPERCRITICAL)])
+    def test_critical_tolerance_edges(self, offset, regime):
+        # CRITICAL_TOL = 1e-12 lies between the two offsets
+        assert cst.regime_of(1 / 3 + offset) is regime

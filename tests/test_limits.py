@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -36,11 +37,6 @@ class TestBEta:
                 val = limits.b_eta(f, f, eta)
                 assert abs(val.imag) < 1e-12 * (abs(val) + 1)
                 assert val.real >= 0.0
-
-    def test_literal_variant_is_negative_diagonal(self):
-        val = limits.b_eta(GD, GD, 1.3, literal=True)
-        assert val.real <= 0.0
-        assert val == pytest.approx(-limits.b_eta(GD, GD, 1.3), rel=1e-12)
 
     def test_small_eta_expansion_zero_energy(self):
         # for zero-mass f: b(eta) ~ eta^2 m1(f)^2
@@ -463,3 +459,11 @@ def test_each_submodule_imports_first_without_scipy(module):
     code = (f"import sys, fbmlab.{module}; print(sorted({{m.split('.')[0] "
             f"for m in sys.modules}} & {{'scipy'}}))")
     assert _fresh_interpreter(code).strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("module", [m[:-3] for m in SUBMODULES])
+def test_every_exported_name_resolves(module):
+    # a deletion that leaves its name in __all__ fails only a star import
+    mod = importlib.import_module(f"fbmlab.{module}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] \
+        == []

@@ -92,6 +92,25 @@ class TestHeatKernel:
                                           got.view(np.int64))
         assert lt.heat_kernel(1e-6, 1.0) == 0.0
 
+    def test_variance_array_broadcasts_with_scalar_bits(self):
+        # each entry of the result has the bits of the scalar-variance call,
+        # underflowing lanes included (eps = 1e-4 at |x| = 3)
+        eps = np.array([1e-4, 0.3, 1.0, 7.5])
+        x = np.array([[-3.0], [-0.0], [0.7], [np.nan]])
+        got = lt.heat_kernel(eps, x)
+        want = np.stack([lt.heat_kernel(e, x[:, 0]) for e in eps], axis=-1)
+        assert got.shape == (4, 4)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        out = np.full((4, 4), 7.0)
+        assert lt.heat_kernel(eps, x, out=out) is out
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+        assert np.array_equal(lt.heat_kernel(eps, 0.7), want[2])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_any_bad_variance_entry(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lt.heat_kernel(np.array([0.5, bad, 2.0]), 1.0)
+
 
 B = lt._BLOCK
 
@@ -390,6 +409,19 @@ class TestExpectedMollifiedLocalTime:
         assert abs(finals.mean() - target) < 3.5 * se
         assert abs(finals.mean() - lt.expected_local_time(H, t, lam)) > 5 * se
 
+    @pytest.mark.parametrize("H, t, lam, eps, N", [
+        (0.25, 1.0, 0.0, 1e-4, 4096), (1 / 3, 0.3, -0.4, 1e-12, 7),
+        (0.75, 7.5, 1.3, 0.3, 64), (0.95, 1e-6, 25.0, 1e-12, 1)])
+    def test_density_is_the_plain_formula(self, H, t, lam, eps, N):
+        # bitwise the trapezoid of exp(-lam^2 / 2v) / sqrt(2 pi v), the
+        # last case with every exponent below -746
+        var = np.linspace(0.0, t, N + 1) ** (2 * H) + eps
+        dens = np.exp(-lam * lam / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+        want = float(lt.trapezoid_prefixes(dens, t / N, [N])[0])
+        got = lt.expected_mollified_local_time(H, t, lam, eps, N)
+        assert np.float64(got).view(np.int64) == \
+            np.float64(want).view(np.int64)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             lt.expected_mollified_local_time(0.5, 1.0, 0.0, 0.0, 8)
@@ -398,6 +430,20 @@ class TestExpectedMollifiedLocalTime:
 
 
 class TestLevelAndBandwidthChecks:
+    def test_unknown_kind_refused_before_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an unknown kind reached the kernel")
+
+        monkeypatch.setattr(lt, "heat_kernel_prime", fail)
+        monkeypatch.setattr(lt, "_dirichlet_sum", fail)
+        p = flat_path(N=16, H=0.25)
+        for call in (lambda: lt.mollified_local_time(p, 0.0, 0.01,
+                                                     kind="bogus"),
+                     lambda: lt.fourier_local_time(p, 0.0, 10.0, 0.1,
+                                                   kind="bogus")):
+            with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+                call()
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, "abc",
                                      [1], True])
     def test_level_must_be_finite_real(self, lam):

@@ -72,6 +72,79 @@ class TestContainer:
             "t,value_0,value_1,value_2"
 
 
+#: stdout of ``fbmlab constants``, byte for byte, in each regime and at
+#: H = 1/2 (beta1 = c_H = 1, beta3's ZERO mode)
+CONSTANTS_STDOUT = [
+    (['--H', '0.2'], '''\
+{
+  "H": 0.2,
+  "beta1": 0.5563428650071971,
+  "beta2": 0.7737934586110408,
+  "c_H": 0.5563428650071971,
+  "regime": "subcritical"
+}
+'''),
+    (['--H', '0.3333333333333333'], '''\
+{
+  "H": 0.3333333333333333,
+  "beta1": 0.7833140593307993,
+  "beta2": 0.9203713733179426,
+  "c_H": 0.7833140593307993,
+  "ell": {
+    "10": 0.6590102289822608,
+    "100": 0.46599060178465607,
+    "1000": 0.3804797331016252,
+    "10000": 0.3295051144911304,
+    "2": 1.2011224087864498
+  },
+  "regime": "critical"
+}
+'''),
+    (['--H', '0.5', '--beta3', '1,0.5'], '''\
+{
+  "H": 0.5,
+  "beta1": 1.0,
+  "beta2": 1.0,
+  "beta3": {
+    "s1": 1.0,
+    "s2": 0.5,
+    "value": 0.0
+  },
+  "c_H": 1.0,
+  "ell": {
+    "10": 1.0,
+    "100": 1.0,
+    "1000": 1.0,
+    "10000": 1.0,
+    "2": 1.0
+  },
+  "regime": "supercritical"
+}
+'''),
+    (['--H', '0.6', '--beta3', '1,0.5'], '''\
+{
+  "H": 0.6,
+  "beta1": 1.076005184131807,
+  "beta2": 0.9648226302321034,
+  "beta3": {
+    "s1": 1.0,
+    "s2": 0.5,
+    "value": 0.004640827669703177
+  },
+  "c_H": 0.10760051841318068,
+  "ell": {
+    "10": 1.0,
+    "100": 1.0,
+    "1000": 1.0,
+    "10000": 1.0,
+    "2": 1.0
+  },
+  "regime": "supercritical"
+}
+'''),
+]
+
+
 class TestCli:
     def test_constants_brownian(self, capsys):
         assert cli.main(["constants", "--H", "0.5"]) == 0
@@ -85,6 +158,12 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["beta3"]["value"] == pytest.approx(0.0351773697,
                                                           rel=1e-6)
+
+    @pytest.mark.parametrize("argv, stdout", CONSTANTS_STDOUT,
+                             ids=["sub", "critical", "brownian", "super"])
+    def test_constants_stdout_pinned(self, capsys, argv, stdout):
+        assert cli.main(["constants", *argv]) == 0
+        assert capsys.readouterr().out == stdout
 
     def test_validation_exit_code(self, capsys):
         assert cli.main(["constants", "--H", "1.5"]) == 2
