@@ -310,8 +310,8 @@ def occupation_density_check(path: FbmPath, f: TestFunction,
 
 def _check_h_t(H: float, t: float) -> None:
     _check_h(H)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got t={t!r}")
 
 
 def expected_local_time(H: float, t: float, lam: float) -> float:
@@ -352,5 +352,9 @@ def expected_mollified_local_time(H: float, t: float, lam: float,
         raise ValueError("N must be >= 1")
     if t == 0.0:
         return 0.0
-    var = np.linspace(0.0, t, N + 1) ** (2 * H) + eps
+    with np.errstate(over="ignore"):
+        var = np.linspace(0.0, t, N + 1) ** (2 * H) + eps
+    if var[-1] == math.inf:
+        raise ValueError(f"the variance t^(2H) + eps overflows at t={t!r} "
+                         f"(H={H!r})")
     return float(trapezoid_prefixes(heat_kernel(var, lam), t / N, [N])[0])

@@ -243,6 +243,20 @@ def _check_ends(name: str, a: float, b: float) -> None:
         raise ValueError(f"{name} requires a < b")
 
 
+def _phase(eta: np.ndarray, c: float):
+    """e^{i eta c}, the shift of a transform to the centre c.
+
+    At c = 0 with no eta < 0 (the a_h kernel's frequencies are positive) it
+    is 1 + 0j, and the complex exp is skipped: the transforms' products
+    with the constant have the bits of their products with exp's (at
+    eta = inf both are NaN, their sign bits aside).  For eta < 0 the phase
+    is 1 - 0j, whose sign can reach a product's real part (a poly_bump
+    profile of -0.0), so exp builds it there."""
+    if c == 0.0 and not (eta < 0).any():
+        return 1.0 + 0.0j
+    return np.exp(1j * eta * c)
+
+
 def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
     _check_ends("indicator", a, b)
 
@@ -257,7 +271,7 @@ def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
         w = 0.5 * (b - a)
         # (e^{i eta b} - e^{i eta a}) / (i eta), written via sinc for
         # stability at (and near) eta = 0
-        return np.exp(1j * eta * c) * (b - a) * np.sinc(eta * w / np.pi)
+        return _phase(eta, c) * (b - a) * np.sinc(eta * w / np.pi)
 
     return TestFunction(ev, f"indicator(a={a:g},b={b:g})", support=(a, b),
                         closed_form_moments=(b - a, (b * b - a * a) / 2.0),
@@ -282,7 +296,7 @@ def hat(a: float = -1.0, b: float = 1.0) -> TestFunction:
     def ft(eta):
         eta = np.asarray(eta, dtype=float)
         # 4 sin^2(eta w/2) / (w eta^2) = w sinc^2(eta w / (2 pi))
-        return np.exp(1j * eta * c) * w * np.sinc(eta * w / (2 * np.pi)) ** 2
+        return _phase(eta, c) * w * np.sinc(eta * w / (2 * np.pi)) ** 2
 
     return TestFunction(ev, f"hat(a={a:g},b={b:g})", support=(a, b),
                         closed_form_moments=(w, c * w),
@@ -352,7 +366,7 @@ def poly_bump(a: float = -1.0, b: float = 1.0, k: int = 2) -> TestFunction:
 
     def ft(eta):
         eta = np.asarray(eta, dtype=float)
-        return np.exp(1j * eta * c) * (m0 * _poly_bump_profile(w * eta, k))
+        return _phase(eta, c) * (m0 * _poly_bump_profile(w * eta, k))
 
     return TestFunction(ev, f"poly_bump(a={a:g},b={b:g},k={k})", support=(a, b),
                         closed_form_moments=(m0, c * m0),

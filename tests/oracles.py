@@ -5,7 +5,8 @@ function is a hand-rolled Lanczos approximation, the integrals are classic
 Romberg (trapezoid + Richardson) on explicitly substituted variables, and
 the variance-form oracle is a brute-force tensor-grid trapezoid rule.  The
 one exception is ``reference_a_h_tensor``, the a_h kernel before its
-symmetry folds, which reuses the library's constants and profiles.
+symmetry folds, which reuses the library's constants, profiles and
+quadrature rules.
 """
 from __future__ import annotations
 
@@ -226,16 +227,19 @@ def reference_a_h_tensor(profiles, pairs, H: float, order: int,
     of eta and the full ``order`` x ``order`` Gauss-Legendre time-scale grid.
 
     Unlike the rest of this module it runs the library's ``beta1``,
-    ``beta2``, ``beta3`` and Fourier profiles (``limits._FourierProfile``),
-    so it pins the two symmetry folds and nothing else."""
+    ``beta2``, ``beta3``, Fourier profiles (``limits._FourierProfile``) and
+    quadrature rules (``limits._gauss_hermite`` and
+    ``limits._gauss_legendre``), so it pins the two symmetry folds and
+    nothing else; the rules have their own tests against mpmath."""
     from fbmlab.constants import beta1, beta2, beta3
+    from fbmlab.limits import _gauss_hermite, _gauss_legendre
 
     b1, b2 = beta1(H), beta2(H)
     p = 1.0 / (H + 0.5)
-    y, wy = np.polynomial.hermite.hermgauss(gh_order)
+    y, wy = _gauss_hermite(gh_order)
 
     # s = (u / (1 - u))^p maps the unit interval onto the half line
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     u = 0.5 * (nodes + 1.0)
     w = 0.5 * weights / (1.0 - u) ** 2
     s = (u / (1.0 - u)) ** p

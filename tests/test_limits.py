@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -298,16 +299,116 @@ class TestFoldedKernel:
     def test_beta3_symmetric_on_the_grid(self, H):
         for order in limits._GL_ORDERS:
             # the kernel's time-scale nodes
-            nodes, _ = np.polynomial.legendre.leggauss(order)
+            nodes, _ = limits._gauss_legendre(order)
             u = 0.5 * (nodes + 1.0)
             s = (u / (1.0 - u)) ** (1.0 / (H + 0.5))
             S1, S2 = np.meshgrid(s, s, indexing="ij")
             assert np.array_equal(cst.beta3(H, S1, S2), cst.beta3(H, S2, S1))
 
     def test_hermite_nodes_antisymmetric(self):
-        y, wy = np.polynomial.hermite.hermgauss(limits._GH_ORDER)
+        y, wy = limits._gauss_hermite(limits._GH_ORDER)
         assert np.array_equal(y, -y[::-1])
         assert np.array_equal(wy, wy[::-1])
+
+
+def reference_gauss_legendre(n: int, dps: int = 40):
+    """The n-point Gauss-Legendre rule to ``dps`` digits in mpmath: Newton's
+    method on the three-term recurrence from cos(pi (i - 1/4) / (n + 1/2))
+    for each of the n roots, the weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    with mpmath.workdps(dps):
+        def legendre(x):
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            return p, n * (x * p - p_prev) / (x * x - 1)
+
+        tol = mpmath.mpf(10) ** (5 - dps)
+        nodes, weights = [], []
+        for i in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(0.25)) / (n + 0.5))
+            for _ in range(100):
+                p, dp = legendre(x)
+                x -= p / dp
+                if abs(p / dp) < tol:
+                    break
+            _, dp = legendre(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        nodes, weights = nodes[::-1], weights[::-1]
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        assert abs(mpmath.fsum(weights) - 2) < tol
+        return nodes, weights
+
+
+class TestGaussRules:
+    """The Gauss-Legendre rule comes from the Legendre recurrence, built
+    once per process and order, with no eigensolver of more than 64 x 64."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 47, 64, 128])
+    def test_legendre_against_mpmath(self, n):
+        x, w = limits._gauss_legendre(n)
+        ref_x, ref_w = reference_gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.abs(x - np.array(ref_x, dtype=float)) <= 1e-15)
+        ref_w = np.array(ref_w, dtype=float)
+        assert np.all(np.abs(w - ref_w) <= 1e-12 * ref_w)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+
+    def test_rules_cached_read_only(self):
+        for rule in (limits._gauss_legendre, limits._gauss_hermite):
+            first = rule(48)
+            assert rule(48) is first
+            for a in first:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    def test_no_linalg_above_64(self, monkeypatch):
+        # every numpy.linalg routine records the shapes of its arguments;
+        # the rules are built afresh inside the calls
+        shapes = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                shapes.extend(np.shape(a) for a in args
+                              if isinstance(a, np.ndarray))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, recording(fn))
+        for cached in (limits._gauss_legendre, limits._gauss_hermite,
+                       limits._printed_profile_integral):
+            cached.cache_clear()
+        fs = [GD, tf.poly_bump(k=2), tf.hat()]
+        limits.a_h(GD, tf.hat(), 0.6)
+        limits.covariance_matrix(fs, 0.6)
+        limits.covariance_matrix(fs, 1.0 / 3.0)
+        # hermgauss(48) and the matrices' eigh and norms ran
+        assert (48, 48) in shapes
+        assert max(max(s, default=0) for s in shapes) <= 64
+
+    def test_second_call_builds_no_rule(self, monkeypatch):
+        limits.a_h(GD, GD, 0.6)
+        limits.a_one_third(GD, GD)
+        before = [rule.cache_info() for rule in (limits._gauss_legendre,
+                                                 limits._gauss_hermite)]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a rule was built again")
+
+        monkeypatch.setattr(limits, "_legendre", fail)
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", fail)
+        limits.a_h(tf.hat(), GD, 0.7)
+        limits.covariance_matrix([GD, tf.hat()], 0.6)
+        after = [rule.cache_info() for rule in (limits._gauss_legendre,
+                                                limits._gauss_hermite)]
+        assert all(a.misses == b.misses and a.hits > b.hits
+                   for a, b in zip(after, before))
 
 
 class TestCovarianceMatrix:

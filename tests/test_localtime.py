@@ -428,6 +428,30 @@ class TestExpectedMollifiedLocalTime:
         with pytest.raises(ValueError):
             lt.expected_mollified_local_time(0.5, 1.0, 0.0, 0.01, 0)
 
+    @pytest.mark.parametrize("H, t, eps", [(0.9, 1e300, 1e-3),
+                                           (0.5, 1e308, 1e308)])
+    def test_refuses_overflowing_variance(self, H, t, eps):
+        # t^(2H) overflows in the first case, t^(2H) + eps in the second;
+        # the message names t, not an eps the caller never passed
+        with pytest.raises(ValueError, match=r"overflows at t=1e\+30") as err:
+            lt.expected_mollified_local_time(H, t, 0.0, eps, 8)
+        assert "eps must be" not in str(err.value)
+
+    def test_large_finite_variance_accepted(self):
+        got = lt.expected_mollified_local_time(0.5, 1e300, 0.0, 1e-3, 8)
+        assert math.isfinite(got) and got > 0
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+def test_expected_local_times_refuse_bad_horizon(t):
+    # an infinite horizon gave a negative E L (-0.798) and a warning
+    for call in (lambda: lt.expected_local_time(0.5, t, 0.0),
+                 lambda: lt.expected_mollified_local_time(0.5, t, 0.0,
+                                                          1e-3, 8)):
+        with pytest.raises(ValueError,
+                           match=f"t must be nonnegative and finite, got t={t}"):
+            call()
+
 
 class TestLevelAndBandwidthChecks:
     def test_unknown_kind_refused_before_work(self, monkeypatch):

@@ -363,6 +363,73 @@ class TestEvaluatorBits:
                    for i, v in enumerate(x))
 
 
+def _transform_formula(name, a, b, k, phase):
+    """The closed-form transform of a built-in on [a, b] as one line, in
+    its operand order, with the phase ``phase(eta, c)`` at the centre c."""
+    c, w = 0.5 * (a + b), 0.5 * (b - a)
+    if name == "indicator":
+        return lambda eta: phase(eta, c) * (b - a) * np.sinc(eta * w / np.pi)
+    if name == "hat":
+        return lambda eta: (phase(eta, c) * w
+                            * np.sinc(eta * w / (2 * np.pi)) ** 2)
+    m0 = w * math.sqrt(math.pi) * math.gamma(k + 1) / math.gamma(k + 1.5)
+    return lambda eta: phase(eta, c) * (
+        m0 * tf._poly_bump_profile(w * eta, k))
+
+
+TRANSFORM_ETAS = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 1e3, -1e3, 1e8,
+                           -1e8])
+
+
+class TestTransformBits:
+    """A centred transform skips the complex exp of 1j eta 0 where it can;
+    the bits are those of the product with it."""
+
+    @staticmethod
+    def assert_bits(f, formula):
+        # the kernel's frequencies are positive; with a negative one the
+        # phase is 1 - 0j
+        for etas in (TRANSFORM_ETAS, TRANSFORM_ETAS[TRANSFORM_ETAS >= 0]):
+            got = f.closed_form_fourier(etas)
+            assert got.tobytes() == formula(etas).tobytes()
+        for eta in TRANSFORM_ETAS:
+            assert np.asarray(f.closed_form_fourier(np.asarray(eta))
+                              ).tobytes() == np.asarray(
+                formula(np.asarray(eta))).tobytes()
+            assert np.asarray(tf.fourier(f, eta)).tobytes() == np.asarray(
+                formula(np.asarray(eta)), dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("name, a, b, k", [
+        ("indicator", -1.0, 1.0, None), ("indicator", -2.5, 2.5, None),
+        ("hat", -1.0, 1.0, None), ("hat", -3.0, 3.0, None),
+        ("poly_bump", -1.0, 1.0, 1), ("poly_bump", -1.0, 1.0, 2),
+        ("poly_bump", -1.0, 1.0, 40), ("poly_bump", -2.0, 2.0, 2)])
+    def test_centred_skips_the_unit_phase(self, name, a, b, k):
+        f = tf.BUILTINS[name](a, b, *(() if k is None else (k,)))
+        self.assert_bits(f, _transform_formula(
+            name, a, b, k, lambda eta, c: np.exp(1j * eta * 0.0)))
+
+    def test_negative_frequency_keeps_the_phase_sign(self):
+        # the k = 2 profile is -0.0 at this eta; the phase 1 - 0j of -eta
+        # turns the real part into +0.0
+        eta = np.array([-1.01625688699759e108, 1.01625688699759e108])
+        got = tf.poly_bump(k=2).closed_form_fourier(eta)
+        assert np.signbit(got.real).tolist() == [False, True]
+        assert got.tobytes() == _transform_formula(
+            "poly_bump", -1.0, 1.0, 2,
+            lambda eta, c: np.exp(1j * eta * 0.0))(eta).tobytes()
+
+    @pytest.mark.parametrize("name, a, b, k", [
+        ("indicator", 0.0, 1.0, None), ("indicator", -0.3, 2.1, None),
+        ("hat", 0.0, 2.0, None), ("hat", -1.0, 3.0, None),
+        ("poly_bump", 0.5, 4.0, 1), ("poly_bump", -1.0, 3.0, 2),
+        ("poly_bump", -3.0, -2.5, 40)])
+    def test_off_centre_unchanged(self, name, a, b, k):
+        f = tf.BUILTINS[name](a, b, *(() if k is None else (k,)))
+        self.assert_bits(f, _transform_formula(
+            name, a, b, k, lambda eta, c: np.exp(1j * eta * c)))
+
+
 class TestSupport:
     @pytest.mark.parametrize("spec, name, a, b, k", [
         ("hat:a=-1,b=1", "hat", -1.0, 1.0, None),
