@@ -63,7 +63,7 @@ import numpy as np
 
 from .constants import ell, regime_of, Regime
 from .errors import CostGuardError
-from .fbm import (CHOLESKY_MAX_N, VALUE_METHODS, FbmPath, SynthesisBuffers,
+from .fbm import (VALUE_METHODS, FbmPath, SynthesisBuffers, _check_request,
                   group_rows, sample_values)
 from .limits import QuadResult, a_h, a_one_third
 from .localtime import (_check_lam, heat_kernel, heat_kernel_prime,
@@ -156,8 +156,6 @@ class ExperimentConfig:
             raise ValueError("n_ladder must be strictly increasing")
         if min(self.n_ladder) < 2:
             raise ValueError("scale parameters must be >= 2")
-        if self.path_count < 1:
-            raise ValueError("path_count must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.threads < 1:
@@ -182,11 +180,10 @@ class ExperimentConfig:
                              f"{labels}")
         if self.grid_points < 1:
             raise ValueError("grid_per_unit must give at least one grid step")
+        _check_request(self.H, self.horizon, self.grid_points,
+                       self.path_count, self.method, self.seed)
         self.t_indices()                  # raises for a time off the grid
         self.epsilon(self.n_ladder[-1])   # raises for an unknown eps policy
-        if self.method == "cholesky" and self.grid_points > CHOLESKY_MAX_N:
-            raise ValueError(f"cholesky synthesis is limited to "
-                             f"{CHOLESKY_MAX_N} grid points")
         load = self.grid_points * max(self.n_ladder) * max(self.t_list)
         if load > self.cost_guard:
             raise CostGuardError(
@@ -394,6 +391,7 @@ def _path_functional(path: FbmPath, f: TestFunction, lam: float, n: int,
     ``eps``, its ``L``, at time t."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    lam = _check_lam(lam)
     k = _grid_index(t, path.dt, path.N)
     step = n ** path.H * float(np.median(np.abs(np.diff(path.values))))
     if step > f.scale_hint:

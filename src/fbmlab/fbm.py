@@ -29,7 +29,9 @@ Potential Analysis 10, 1999)
 evaluated with ``scipy.special.hyp2f1``; beta1 is ``constants.beta1``, and
 at H = 1/2 the formula is exactly 1.  Against a 40-digit evaluation of the
 defining integrals it is within 7e-16 relative, and ``mu(H, 0, t)``
-reproduces t^{2H} to ~1e-13 (H from 0.1 to 0.9).
+reproduces t^{2H} to ~1e-13 (H from 0.1 to 0.9).  ``volterra_kernel`` is
+the one masked evaluator (zero for s >= t), behind the volterra method's
+matrix and ``conditional_mean_path``'s kernel row.
 
 Importing this module loads no scipy.  The kernel functions
 (``volterra_kernel``, ``mu``, ``conditional_increment_variance``,
@@ -86,12 +88,8 @@ def _kernel_core(H: float, t, s):
 
 
 def volterra_kernel(H: float, t, s):
-    """Moving-average kernel K_H(t,s); zero for s >= t by convention.
-
-    Closed form beta1(H) (t-s)^(H-1/2) 2F1(H-1/2, 1/2-H; H+1/2; 1-t/s)
-    (see the module docstring): within 7e-16 relative of the defining
-    integrals, and exactly 1 for s < t at H = 1/2.
-    """
+    """Moving-average kernel K_H(t,s), the closed form of the module
+    docstring for s < t and zero for s >= t by convention."""
     _check_h(H)
     t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float),
                                        np.asarray(s, dtype=float))
@@ -99,8 +97,7 @@ def volterra_kernel(H: float, t, s):
         raise ValueError("volterra_kernel requires strictly positive times")
     out = np.zeros(t_arr.shape, dtype=float)
     mask = s_arr < t_arr
-    if np.any(mask):
-        out[mask] = _kernel_core(H, t_arr[mask].ravel(), s_arr[mask].ravel())
+    out[mask] = _kernel_core(H, t_arr[mask], s_arr[mask])
     return float(out) if out.ndim == 0 else out
 
 
@@ -258,18 +255,20 @@ def _cholesky_factor(H: float, T: float, N: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _volterra_matrix(H: float, T: float, N: int) -> np.ndarray:
-    dt = T / N
+    """K_H(t_k, theta_j) at grid times and step midpoints; row t_0 is 0."""
     t = np.linspace(0.0, T, N + 1)
-    theta = (np.arange(N) + 0.5) * dt
-    tt, ss = np.broadcast_arrays(t[:, None], theta[None, :])
-    mask = ss < tt
+    theta = (np.arange(N) + 0.5) * (T / N)
     K = np.zeros((N + 1, N), dtype=float)
-    K[mask] = _kernel_core(H, tt[mask], ss[mask])
+    K[1:] = volterra_kernel(H, t[1:, None], theta[None, :])
     return K
 
 
-def _check_request(H: float, T: float, N: int, count: int, method: str):
+def _check_request(H: float, T: float, N: int, count: int, method: str,
+                   seed: int):
+    """Refuse a request no synthesis method (or experiment) can serve."""
     _check_h(H)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if N < 1:
@@ -333,7 +332,7 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
     ``group_rows(N, ...)`` rows; both act along each row alone, so a row's
     bits do not depend on the group it falls in.
     """
-    _check_request(H, T, N, count, method)
+    _check_request(H, T, N, count, method, seed)
     if method not in VALUE_METHODS:
         raise ValueError(f"sample_values serves {VALUE_METHODS}, "
                          f"not {method!r}; use sample_paths")
@@ -390,7 +389,7 @@ def sample_paths(H: float, T: float, N: int, count: int, seed: int,
     if method != "volterra":
         values = sample_values(H, T, N, count, seed, method=method)
     else:
-        _check_request(H, T, N, count, method)
+        _check_request(H, T, N, count, method, seed)
         K = _volterra_matrix(H, T, N)
         increments = np.stack([path_rng(seed, i).standard_normal(N)
                                for i in range(count)])
@@ -423,10 +422,9 @@ def conditional_mean_path(path: FbmPath, r: float, s: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _conditional_kernel_row(H: float, T: float, N: int, r: float,
                             s: float) -> np.ndarray:
-    dt = T / N
-    theta = (np.arange(N) + 0.5) * dt
+    """K_H(s, theta_j) at the step midpoints theta_j < r, zero elsewhere."""
+    theta = (np.arange(N) + 0.5) * (T / N)
     row = np.zeros(N)
-    mask = (theta < r) & (theta < s)
-    if np.any(mask):
-        row[mask] = _kernel_core(H, np.full(mask.sum(), s), theta[mask])
+    below = theta < r
+    row[below] = volterra_kernel(H, s, theta[below])
     return row

@@ -61,7 +61,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .constants import beta1, beta2, beta3, regime_of, Regime
-from .gaussian import psd_sqrt
 from .testfuncs import TestFunction, fourier, moments, require_xi
 
 __all__ = ["QuadConfig", "QuadResult", "b_eta", "a_h", "a_one_third",
@@ -323,8 +322,8 @@ class LimitMatrix:
 def covariance_matrix(fs: Sequence[TestFunction], H: float) -> LimitMatrix:
     """Fill the d x d limit covariance (above the critical point one
     kernel pass per order over the upper triangle, each entry ``a_h`` of its
-    pair; at it the product formula entrywise), clamp the tolerated
-    numerical negativity, and attach the PSD square root."""
+    pair; at it the product formula entrywise), and clamp the tolerated
+    numerical negativity and take the PSD square root from one ``eigh``."""
     if not fs:
         raise ValueError("need at least one test function")
     reg = regime_of(H)
@@ -347,8 +346,10 @@ def covariance_matrix(fs: Sequence[TestFunction], H: float) -> LimitMatrix:
     if vals.min() < -tol:
         raise ValueError(f"limit matrix has eigenvalue {vals.min():g} below "
                          "the clamping tolerance; quadrature inconsistent")
-    clamped = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
-    clamped = 0.5 * (clamped + clamped.T)
+    vals = np.maximum(vals, 0.0)
+    clamped = vecs @ np.diag(vals) @ vecs.T
+    root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     return LimitMatrix(H=H, labels=tuple(fn.label for fn in fs),
-                       matrix=clamped, sqrt_matrix=psd_sqrt(clamped),
+                       matrix=0.5 * (clamped + clamped.T),
+                       sqrt_matrix=0.5 * (root + root.T),
                        quadrature_report=err)

@@ -27,6 +27,7 @@ numpy's scalar power could round the square differently.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -392,6 +393,7 @@ def from_spec(spec: str) -> TestFunction:
     if name not in BUILTINS:
         raise ValueError(f"unknown test function {name!r}; "
                          f"choices: {sorted(BUILTINS)}")
+    params = inspect.signature(BUILTINS[name]).parameters
     kwargs = {}
     if argstr.strip():
         for item in argstr.split(","):
@@ -399,5 +401,9 @@ def from_spec(spec: str) -> TestFunction:
             if not _:
                 raise ValueError(f"malformed argument {item!r} in {spec!r}")
             key = key.strip()
+            if key not in params or key in kwargs:
+                what = "repeated" if key in kwargs else "unknown"
+                raise ValueError(f"{what} parameter {key!r} in {spec!r}; "
+                                 f"{name} takes {list(params)}")
             kwargs[key] = int(val) if key == "k" else float(val)
     return BUILTINS[name](**kwargs)

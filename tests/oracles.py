@@ -4,9 +4,12 @@ Everything here avoids the library's own numerical routes: the gamma
 function is a hand-rolled Lanczos approximation, the integrals are classic
 Romberg (trapezoid + Richardson) on explicitly substituted variables, and
 the variance-form oracle is a brute-force tensor-grid trapezoid rule.  The
-one exception is ``reference_a_h_tensor``, the a_h kernel before its
-symmetry folds, which reuses the library's constants, profiles and
-quadrature rules.
+exceptions reuse library routines to pin one construction each:
+``reference_a_h_tensor``, the a_h kernel before its symmetry folds, reuses
+the library's constants, profiles and quadrature rules, and
+``reference_volterra_matrix`` and ``reference_conditional_kernel_row``,
+the masked Volterra-kernel constructions before ``volterra_kernel`` served
+them, reuse its closed-form core.
 """
 from __future__ import annotations
 
@@ -262,6 +265,36 @@ def reference_a_h_tensor(profiles, pairs, H: float, order: int,
     total = np.array([np.einsum("i,j,ij->", w, w, row.reshape(V.shape))
                       for row in inner])
     return b1 * b1 / (2.0 * math.pi) * p * p * total
+
+def reference_volterra_matrix(H: float, T: float, N: int) -> np.ndarray:
+    """K_H(t_k, theta_j) on the grid times and step midpoints, masked to
+    theta_j < t_k around the library's closed-form core."""
+    from fbmlab.fbm import _kernel_core
+
+    dt = T / N
+    t = np.linspace(0.0, T, N + 1)
+    theta = (np.arange(N) + 0.5) * dt
+    tt, ss = np.broadcast_arrays(t[:, None], theta[None, :])
+    mask = ss < tt
+    K = np.zeros((N + 1, N), dtype=float)
+    K[mask] = _kernel_core(H, tt[mask], ss[mask])
+    return K
+
+
+def reference_conditional_kernel_row(H: float, T: float, N: int, r: float,
+                                     s: float) -> np.ndarray:
+    """K_H(s, theta_j) at the step midpoints theta_j < min(r, s), masked
+    around the library's closed-form core."""
+    from fbmlab.fbm import _kernel_core
+
+    dt = T / N
+    theta = (np.arange(N) + 0.5) * dt
+    row = np.zeros(N)
+    mask = (theta < r) & (theta < s)
+    if np.any(mask):
+        row[mask] = _kernel_core(H, np.full(mask.sum(), s), theta[mask])
+    return row
+
 
 def oracle_a_one_third_s_integral(literal_beta3: bool = True,
                                   pts: int = 2049) -> float:

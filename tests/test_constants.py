@@ -85,6 +85,29 @@ class TestCH:
             assert cst.c_h(H) == pytest.approx(float(mp_c_h(H)), rel=1e-15)
 
 
+#: H values at which beta1 and c_h are pinned to 40 digits: both ends, the
+#: critical point and both sides of 1/2, close and far
+MP_PIN_H = (0.001, 0.2, 1 / 3, 0.5 - 1e-13, 0.5 + 1e-13, 0.5 - 1e-6,
+            0.5 + 1e-6, 0.6, 0.999)
+
+
+class TestOneGammaRatio:
+    @pytest.mark.parametrize("H", MP_PIN_H)
+    def test_beta1_and_c_h_match_mpmath(self, H):
+        # mp_c_h is the two-branch formula, independent of beta1's one ratio
+        c = mp_c_h(H)
+        b1 = c / (mpmath.mpf(H) - 0.5) if H > 0.5 else c
+        assert cst.beta1(H) == pytest.approx(float(b1), rel=1e-15)
+        assert cst.c_h(H) == pytest.approx(float(c), rel=1e-15)
+
+    @pytest.mark.parametrize("d", [5e-13, 1e-12, 1.5e-12])
+    def test_c_h_vanishes_continuously_above_half(self, d):
+        # c_H = beta1 (H - 1/2) -> 0 as H -> 1/2 from above, with no jump to
+        # the Brownian value 1 inside a tolerance band
+        assert cst.c_h(0.5 + d) == pytest.approx(d * cst.beta1(0.5 + d),
+                                                 rel=1e-3)
+
+
 class TestBetas:
     def test_brownian_values(self):
         assert cst.beta1(0.5) == 1.0

@@ -108,6 +108,21 @@ class TestConfig:
             small_config(method="cholesky", grid_per_unit=8192)
         assert small_config(method="cholesky").method == "cholesky"
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(seed=-1), "seed must be >= 0"),
+        *((dict(H=H), "Hurst parameter") for H in (0.0, 1.0, 1.5, math.nan)),
+        (dict(method="cholesky", grid_per_unit=4097), "cholesky")])
+    def test_synthesis_request_refused_up_front(self, monkeypatch, kw, match):
+        # the config refuses what synthesis would, before any constant is
+        # computed or path drawn
+        def fail(*args, **kwargs):
+            raise AssertionError("reached a constant or a draw")
+
+        for name in ("a_h", "a_one_third", "sample_values"):
+            monkeypatch.setattr(exp, name, fail)
+        with pytest.raises(ValueError, match=match):
+            exp.clt_experiment(small_config(**kw))
+
     def test_empty_f_rejected(self):
         with pytest.raises(ValueError, match="at least one test function"):
             small_config(f=())
@@ -202,6 +217,18 @@ class TestFunctional:
             H, 1.0, 0.0, float(n) ** (-2 * H), N)  # mass is 1
         se = vals.std(ddof=1) / math.sqrt(M)
         assert abs(vals.mean() - target) < 3.5 * se
+
+
+class TestPathFunctionalLevel:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, True])
+    def test_level_rejected(self, lam):
+        # a NaN or infinite level used to return nan (or 0.0 for the bump's
+        # compensated value), and True ran at lam = 1
+        p = fbm.sample_paths(0.6, 1.0, 64, 1, seed=4)[0]
+        for functional in (exp.scaled_additive_functional,
+                           exp.compensated_functional_Z):
+            with pytest.raises(ValueError, match="lambda must be a finite"):
+                functional(p, tf.gaussian_bump(), lam, 16, 1.0)
 
 
 class TestCompensatedZ:

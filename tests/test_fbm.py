@@ -107,6 +107,28 @@ class TestKernel:
             assert fbm.mu(H, 0.0, 1.3) == pytest.approx(1.3 ** (2 * H),
                                                         rel=1e-12)
 
+    @pytest.mark.parametrize("N", [1, 7, 256])
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.75])
+    def test_matrix_is_the_masked_construction(self, H, N):
+        # the volterra method's matrix is volterra_kernel's values, bit for
+        # bit the construction that masked s < t around the core itself
+        K = fbm._volterra_matrix.__wrapped__(H, 1.0, N)
+        assert np.array_equal(K, oracles.reference_volterra_matrix(H, 1.0, N))
+
+    @pytest.mark.parametrize("N", [1, 7, 256])
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.75])
+    def test_conditional_row_is_the_masked_construction(self, H, N):
+        mid = (np.arange(N) + 0.5) * (1.0 / N)
+        on = float(mid[N // 2])
+        cases = [(0.3, 0.8),              # r < s, both off the midpoints
+                 (0.8, 0.8),              # r = s
+                 (on, 0.9), (on, on),     # r on a midpoint
+                 (0.3, on), (1.0, 1.0)]
+        for r, s in cases:
+            row = fbm._conditional_kernel_row.__wrapped__(H, 1.0, N, r, s)
+            want = oracles.reference_conditional_kernel_row(H, 1.0, N, r, s)
+            assert np.array_equal(row, want), (r, s)
+
     @pytest.mark.parametrize("H", [0.3, 0.75])
     def test_matrix_peak_memory(self, H):
         # the kernel matrix is built from closed-form values, with no
@@ -169,6 +191,15 @@ class TestMu:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("method", ["circulant", "cholesky", "volterra"])
+    def test_negative_seed_rejected(self, method):
+        # refused by fbmlab, not by numpy's seeding after the checks passed
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            fbm.sample_paths(0.6, 1.0, 8, 2, seed=-1, method=method)
+        if method != "volterra":
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                fbm.sample_values(0.6, 1.0, 8, 2, seed=-1, method=method)
+
     def test_values_start_at_zero(self):
         for method in ("circulant", "cholesky", "volterra"):
             p = fbm.sample_paths(0.7, 1.0, 64, 3, seed=1, method=method)[0]

@@ -436,6 +436,23 @@ class TestCovarianceMatrix:
         assert err <= 1e-8 * np.linalg.norm(lm.matrix)
         assert lm.quadrature_report.shape == (2, 2)
 
+    @pytest.mark.parametrize("H", [1.0 / 3.0, 0.6])
+    def test_one_decomposition(self, monkeypatch, H):
+        # the clamped matrix and its root come from one eigh call
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        lm = limits.covariance_matrix([GD, tf.gaussian_derivative(2.0),
+                                       tf.hat()], H)
+        assert calls == [(3, 3)]
+        err = np.abs(lm.sqrt_matrix @ lm.sqrt_matrix - lm.matrix).max()
+        assert err <= 1e-12 * np.abs(lm.matrix).max()
+
     def test_critical_point_uses_product_formula(self):
         lm = limits.covariance_matrix([GD], 1.0 / 3.0)
         assert lm.matrix[0, 0] == pytest.approx(limits.a_one_third(GD, GD),

@@ -78,9 +78,9 @@ CONSTANTS_STDOUT = [
     (['--H', '0.2'], '''\
 {
   "H": 0.2,
-  "beta1": 0.5563428650071971,
-  "beta2": 0.7737934586110408,
-  "c_H": 0.5563428650071971,
+  "beta1": 0.556342865007197,
+  "beta2": 0.7737934586110404,
+  "c_H": 0.556342865007197,
   "regime": "subcritical"
 }
 '''),
@@ -124,14 +124,14 @@ CONSTANTS_STDOUT = [
     (['--H', '0.6', '--beta3', '1,0.5'], '''\
 {
   "H": 0.6,
-  "beta1": 1.076005184131807,
-  "beta2": 0.9648226302321034,
+  "beta1": 1.0760051841318075,
+  "beta2": 0.9648226302321041,
   "beta3": {
     "s1": 1.0,
     "s2": 0.5,
-    "value": 0.004640827669703177
+    "value": 0.00464082766970318
   },
-  "c_H": 0.10760051841318068,
+  "c_H": 0.10760051841318072,
   "ell": {
     "10": 1.0,
     "100": 1.0,
@@ -315,6 +315,15 @@ class TestCli:
         assert cli.main(["limit-const", "--H", "0.6", "--f", spec]) == 2
         err = capsys.readouterr().err
         assert err.count("requires a finite sigma > 0") == 2
+
+    @pytest.mark.parametrize("spec, names", [
+        ("hat:c=1", "unknown parameter 'c'"),
+        ("hat:a=0,a=2", "repeated parameter 'a'")])
+    def test_bad_spec_parameter_exit_code(self, capsys, spec, names):
+        assert cli.main(["limit-const", "--H", "0.6", "--f", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and names in err
+        assert "Traceback" not in err
 
     def test_invalid_grid_exit_code(self, tmp_path):
         cfg = {"H": 0.6, "t_list": [1.0], "n_ladder": [4, 8],

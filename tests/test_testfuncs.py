@@ -225,6 +225,18 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             tf.from_spec("gaussian_bump:sigma")
 
+    @pytest.mark.parametrize("spec, match", [
+        ("hat:c=1", "unknown parameter 'c'.*hat takes \\['a', 'b'\\]"),
+        ("gaussian_derivative:center=1", "unknown parameter 'center'"),
+        ("poly_bump:a=-1,b=1,k=2,kk=3", "unknown parameter 'kk'"),
+        ("hat:a=0,a=2", "repeated parameter 'a'"),
+        ("gaussian_bump:sigma=1, sigma=2", "repeated parameter 'sigma'")])
+    def test_unknown_or_repeated_parameter(self, spec, match):
+        # an unknown one used to raise TypeError from the builder, and a
+        # repeated one silently kept its last value
+        with pytest.raises(ValueError, match=match):
+            tf.from_spec(spec)
+
     @pytest.mark.parametrize("name", ["indicator", "hat", "poly_bump"])
     @pytest.mark.parametrize("a, b, end", [
         (0.0, math.inf, "b=inf"), (-math.inf, 0.0, "a=-inf"),
