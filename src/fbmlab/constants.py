@@ -39,11 +39,21 @@ J is evaluated in one of two ways, chosen from x alone:
 At H = 1/2 the H -> 1/2 limit (``Beta3Mode.LIMIT``) is
 2(1-x) Li2(1-x) - x log^2 x, via ``scipy.special.spence``, which that
 branch imports when it runs; nothing else here needs scipy.
+
+The argument rules live here, which every module imports: ``_check_h``;
+``_integer`` (``operator.index``, no bool, an optional least value) for
+seeds, counts, grid sizes N, start indices, ``ExperimentConfig``'s integer
+fields and ``poly_bump``'s k; ``_real`` (a finite ``numbers.Real``, no
+bool) for levels lambda, horizons T, ``t_list`` times and the n and t of
+one path's functional.  Each refusal is a ``ValueError`` naming the value.
 """
 from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
+import sys
 
 import numpy as np
 
@@ -72,6 +82,28 @@ def regime_of(H: float) -> Regime:
 def _check_h(H: float) -> None:
     if not (0.0 < H < 1.0):
         raise ValueError(f"Hurst parameter must lie in (0,1), got {H!r}")
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as ``operator.index`` takes it, a bool excepted, >= least."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got "
+                         f"{type(value).__name__} {value!r}")
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float: a finite ``numbers.Real`` other than a bool.
+    Comparing with the largest double also refuses NaN and an integer
+    beyond it, which ``float`` and ``math.isfinite`` would overflow on."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"{name} must be a finite real number, got "
+                     f"{type(value).__name__} {value!r}")
 
 
 def c_h(H: float) -> float:

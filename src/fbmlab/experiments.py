@@ -49,8 +49,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
-import operator
 import os
 import warnings
 from collections.abc import Sequence
@@ -61,13 +59,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .constants import ell, regime_of, Regime
+from .constants import _integer, _real, ell, regime_of, Regime
 from .errors import CostGuardError
 from .fbm import (VALUE_METHODS, FbmPath, SynthesisBuffers, _check_request,
                   group_rows, sample_values)
 from .limits import QuadResult, a_h, a_one_third
-from .localtime import (_check_lam, heat_kernel, heat_kernel_prime,
-                        trapezoid_prefixes)
+from .localtime import heat_kernel, heat_kernel_prime, trapezoid_prefixes
 from .testfuncs import TestFunction, from_spec, moments, require_xi
 
 __all__ = [
@@ -104,22 +101,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _time(value) -> float:
-    """A ``t_list`` entry as a float; a bool or a non-real value raises."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"t_list times must be real numbers, got "
-                     f"{type(value).__name__} {value!r}")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as ``operator.index`` takes it, a bool excepted."""
-    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
-        return operator.index(value)
-    raise ValueError(f"{name} must be an integer, got "
-                     f"{type(value).__name__} {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     H: float
@@ -141,31 +122,26 @@ class ExperimentConfig:
         if isinstance(self.f, str):
             object.__setattr__(self, "f", (self.f,))
         object.__setattr__(self, "f", tuple(self.f))
-        object.__setattr__(self, "lam", _check_lam(self.lam))
-        object.__setattr__(self, "t_list", tuple(map(_time, self.t_list)))
+        object.__setattr__(self, "lam", _real("lambda", self.lam))
+        object.__setattr__(self, "t_list", tuple(
+            _real("a t_list time", t) for t in self.t_list))
         object.__setattr__(self, "n_ladder", tuple(
-            _integer("an n_ladder entry", n) for n in self.n_ladder))
-        for name in ("seed", "path_count", "grid_per_unit", "batch_size",
-                     "threads"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            _integer("an n_ladder entry", n, least=2) for n in self.n_ladder))
+        # seed and path_count get their bounds from _check_request below
+        for name, least in {"seed": None, "path_count": None,
+                            "grid_per_unit": None, "batch_size": 1,
+                            "threads": 1}.items():
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), least))
         if math.isnan(self.cost_guard):
             raise ValueError("cost_guard must not be NaN")
         if not self.n_ladder:
             raise ValueError("n_ladder must name at least one scale")
         if any(b >= a for a, b in zip(self.n_ladder[1:], self.n_ladder)):
             raise ValueError("n_ladder must be strictly increasing")
-        if min(self.n_ladder) < 2:
-            raise ValueError("scale parameters must be >= 2")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.method not in VALUE_METHODS:
             raise ValueError(f"experiments run {VALUE_METHODS} synthesis, "
                              f"not {self.method!r}")
-        if not all(map(math.isfinite, self.t_list)):
-            raise ValueError(f"t_list times must be finite, got "
-                             f"{list(self.t_list)}")
         if not self.t_list or min(self.t_list) <= 0:
             raise ValueError("t_list must contain positive times")
         if len(set(self.t_list)) < len(self.t_list):
@@ -389,9 +365,9 @@ def _path_functional(path: FbmPath, f: TestFunction, lam: float, n: int,
                      t: float, eps=()) -> tuple[np.ndarray, np.ndarray]:
     """One-row call of the kernel: its ``F`` and, at a bandwidth given in
     ``eps``, its ``L``, at time t."""
+    n, t, lam = _real("n", n), _real("t", t), _real("lambda", lam)
     if n < 1:
-        raise ValueError("n must be >= 1")
-    lam = _check_lam(lam)
+        raise ValueError(f"n must be >= 1, got {n!r}")
     k = _grid_index(t, path.dt, path.N)
     step = n ** path.H * float(np.median(np.abs(np.diff(path.values))))
     if step > f.scale_hint:
@@ -736,9 +712,7 @@ def serialize_report(report: ExperimentReport, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def deserialize_report(data: bytes, fmt: str = "json") -> ExperimentReport:
-    if fmt != "json":
-        raise ValueError("only the json format round-trips")
+def deserialize_report(data: bytes) -> ExperimentReport:
     payload = json.loads(data.decode())
     if payload["kind"] not in _COLUMNS:
         raise ValueError(f"unknown report kind {payload['kind']!r}")

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CRITICAL_TOL, _check_h, beta1
+from .constants import CRITICAL_TOL, _check_h, _integer, _real, beta1
 
 __all__ = [
     "covariance", "volterra_kernel", "mu", "conditional_increment_variance",
@@ -177,10 +177,7 @@ class FbmPath:
 
     def __post_init__(self):
         _check_h(self.H)
-        if not 0 < self.T < math.inf:
-            raise ValueError("T must be positive and finite")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        _check_grid(self.T, self.N)
         if self.values.shape != (self.N + 1,):
             raise ValueError("values must have length N+1")
         if self.values[0] != 0.0:
@@ -263,18 +260,20 @@ def _volterra_matrix(H: float, T: float, N: int) -> np.ndarray:
     return K
 
 
+def _check_grid(T: float, N: int) -> None:
+    """A horizon T > 0 and a step count N >= 1."""
+    if _real("T", T) <= 0:
+        raise ValueError(f"T must be positive, got {T!r}")
+    _integer("N", N, least=1)
+
+
 def _check_request(H: float, T: float, N: int, count: int, method: str,
                    seed: int):
     """Refuse a request no synthesis method (or experiment) can serve."""
     _check_h(H)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
+    _integer("seed", seed, least=0)
+    _integer("count", count, least=1)
+    _check_grid(T, N)
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "cholesky" and N > CHOLESKY_MAX_N:
@@ -336,8 +335,7 @@ def sample_values(H: float, T: float, N: int, count: int, seed: int,
     if method not in VALUE_METHODS:
         raise ValueError(f"sample_values serves {VALUE_METHODS}, "
                          f"not {method!r}; use sample_paths")
-    if start < 0:
-        raise ValueError("start must be >= 0")
+    _integer("start", start, least=0)
     # the spectrum first: its temporaries are freed before the buffers exist
     amp = _half_spectrum(H, T, N) if method == "circulant" else None
     if out is None:

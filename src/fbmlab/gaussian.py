@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .constants import _integer
 from .fbm import covariance
 
 __all__ = [
@@ -51,12 +52,13 @@ class GaussianVectorSpec:
     def index_of(self, key) -> int:
         """The index of ``key``: an integer in [0, dim) or one of the
         labels.  A negative or out-of-range integer raises ``IndexError``,
-        an unknown label ``KeyError``."""
+        an unknown label ``KeyError``, a bool ``ValueError``."""
         if isinstance(key, (int, np.integer)):
+            key = _integer("index", key)
             if not 0 <= key < self.dim:
                 raise IndexError(f"index {key} is out of range for "
                                  f"dimension {self.dim}")
-            return int(key)
+            return key
         if self.labels is None:
             raise KeyError(f"{key!r}: spec has no labels; use integer "
                            "indices")

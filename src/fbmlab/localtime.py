@@ -34,14 +34,13 @@ Carlo mean of the estimator must be compared with the second one.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .constants import Regime, _check_h, regime_of
+from .constants import Regime, _check_h, _integer, _real, regime_of
 from .fbm import FbmPath
 
 if TYPE_CHECKING:  # for annotations only: testfuncs imports the kernels
@@ -70,14 +69,6 @@ def _check_eps(eps) -> None:
 def _check_kind(kind: str) -> None:
     if kind not in ("level", "derivative"):
         raise ValueError(f"unknown kind {kind!r}")
-
-
-def _check_lam(lam) -> float:
-    """lam as a float; a level that is not a finite real number raises."""
-    if (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
-            and math.isfinite(lam)):
-        return float(lam)
-    raise ValueError(f"lambda must be a finite real number, got {lam!r}")
 
 
 #: exp(a) rounds to 0.0 for every a below this (the smallest subnormal is
@@ -228,7 +219,7 @@ def mollified_local_time(path: FbmPath, lam: float, eps: float,
                          kind: str = "level") -> LocalTimeCurve:
     """Trapezoidal time integral of the mollified delta (or its derivative)
     applied to the path, at level lam."""
-    lam = _check_lam(lam)
+    lam = _real("lambda", lam)
     _check_eps(eps)
     _check_kind(kind)
     if kind == "derivative" and regime_of(path.H) is not Regime.SUBCRITICAL:
@@ -257,7 +248,7 @@ def fourier_local_time(path: FbmPath, lam: float, xi_max: float,
     O(N) cost for any number of frequencies: once max|B - lam| d_xi >= pi
     the estimate folds in the levels lam + j 2 pi/d_xi with sign (-1)^j.
     A grid of more than 2^52 frequencies per side is refused."""
-    lam = _check_lam(lam)
+    lam = _real("lambda", lam)
     _check_kind(kind)
     if not (0 < xi_max < math.inf and 0 < d_xi < math.inf
             and xi_max / d_xi < math.inf):
@@ -322,7 +313,7 @@ def expected_local_time(H: float, t: float, lam: float) -> float:
     N -> infinity, not its mean at a fixed grid; for that see
     ``expected_mollified_local_time``."""
     _check_h_t(H, t)
-    lam = _check_lam(lam)
+    lam = _real("lambda", lam)
     if t == 0.0:
         return 0.0
     from scipy import integrate
@@ -346,10 +337,9 @@ def expected_mollified_local_time(H: float, t: float, lam: float,
     = p_{t_k^{2H} + eps}(lam) and the trapezoid sum's mean is
     dt * sum'_k p_{t_k^{2H} + eps}(lam), the endpoints weighted by 1/2."""
     _check_h_t(H, t)
-    lam = _check_lam(lam)
+    lam = _real("lambda", lam)
     _check_eps(eps)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _integer("N", N, least=1)
     if t == 0.0:
         return 0.0
     with np.errstate(over="ignore"):

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .constants import _integer
 from .localtime import heat_kernel, heat_kernel_prime
 
 __all__ = [
@@ -353,8 +354,7 @@ def poly_bump(a: float = -1.0, b: float = 1.0, k: int = 2) -> TestFunction:
     (``_poly_bump_profile``) to 1e-12 m0 for k <= 40; above that only the
     numeric transform is offered."""
     _check_ends("poly_bump", a, b)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError("poly_bump requires an integer k >= 1")
+    k = _integer("poly_bump's integer k", k, least=1)
     c = 0.5 * (a + b)
     w = 0.5 * (b - a)
 

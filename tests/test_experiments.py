@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -156,8 +157,12 @@ class TestConfig:
     @pytest.mark.parametrize("value", [(True,), (0.5, False), ("1",),
                                        (None,)])
     def test_non_real_time_rejected(self, value):
-        # [True] ran at t = 1.0 and was echoed as 1.0
-        with pytest.raises(ValueError, match="t_list times must be real"):
+        # [True] ran at t = 1.0 and was echoed as 1.0; the last time is the
+        # bad one, named with its type and value (bool True, str '1', ...)
+        bad = value[-1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"t_list time must be a finite real number, got "
+                f"{type(bad).__name__} {bad!r}")):
             small_config(t_list=value)
 
     def test_threads_default_to_the_usable_cpus(self):

@@ -348,13 +348,13 @@ class TestCli:
         ("clt-experiment", b'{"H": 0.6, "grid_per_unit": true}',
          "grid_per_unit must be an integer"),
         ("clt-experiment", b'{"H": 0.6, "t_list": [Infinity]}',
-         "t_list times must be finite"),
+         "t_list time must be a finite real number, got float inf"),
         ("clt-experiment", b'{"H": 0.6, "t_list": [NaN]}',
-         "t_list times must be finite"),
+         "t_list time must be a finite real number, got float nan"),
         ("clt-experiment", b'{"H": 0.6, "cost_guard": NaN}',
          "cost_guard must not be NaN"),
         ("clt-experiment", b'{"H": 0.6, "t_list": [true]}',
-         "t_list times must be real numbers"),
+         "t_list time must be a finite real number, got bool True"),
         ("clt-experiment", b'{"H": 0.6, "f": ["hat:a=0,b=inf"]}',
          "hat requires finite ends, got b=inf"),
         ("clt-experiment",
