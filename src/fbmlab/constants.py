@@ -36,6 +36,10 @@ J is evaluated in one of two ways, chosen from x alone:
   near the diagonal x -> 1 (5e-6 relative at x = 0.9999, H = 0.25); the
   series does not, and the terms it drops carry c^65 <= 2^-65.
 
+Both series are summed by ``_horner``, which runs numpy ``polyval``'s
+operations in its order, so the values are ``polyval``'s to the bit while
+``numpy.polynomial``, which numpy imports on first use, is never loaded.
+
 At H = 1/2 the H -> 1/2 limit (``Beta3Mode.LIMIT``) is
 2(1-x) Li2(1-x) - x log^2 x, via ``scipy.special.spence``, which that
 branch imports when it runs; nothing else here needs scipy.
@@ -146,24 +150,37 @@ _BETA3_SERIES_TERMS = 64
 
 
 def _beta3_series(H: float) -> np.ndarray:
-    """Coefficients b_k / (k - 2H), k = 2.._BETA3_SERIES_TERMS, of J as a
-    power series in c: b = u * u, with u_1 = a, u_k = u_{k-1} (k-1-a) / k
-    the Taylor coefficients of 1 - (1-r)^a."""
+    """Coefficients b_k / (k - 2H), k = 2.._BETA3_SERIES_TERMS, of J / c^2
+    as a power series in c, lowest first for ``_horner``: b = u * u, with
+    u_1 = a, u_k = u_{k-1} (k-1-a) / k the Taylor coefficients of
+    1 - (1-r)^a."""
     a = H - 0.5
     k = np.arange(2, _BETA3_SERIES_TERMS + 1)
     u = a * np.cumprod(np.concatenate([[1.0], (k - 1 - a) / k]))
     return np.convolve(u, u)[:k.size] / (k - 2 * H)
 
 
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] x^k by Horner's rule, in numpy's ``polyval`` order and
+    so to its bits: acc = coef[-1] + x*0, then acc = coef[k] + acc*x for k
+    from the second last down to 0 (in place; the sum commutes exactly)."""
+    acc = coef[-1] + x * 0
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
 def _beta3_far_2f1(H: float, x: np.ndarray) -> np.ndarray:
     """2F1(1, 1/2-H; H+3/2; x) for 0 <= x < 1/2: the power series
-    sum_k (1/2-H)_k / (H+3/2)_k x^k to _BETA3_SERIES_TERMS terms, by Horner.
-    Every ratio (1/2-H+j) / (H+3/2+j) lies in (-1, 1), so term k is at most
-    x^k < 2^-k and the terms dropped sum below 2^-62 of the value."""
+    sum_k (1/2-H)_k / (H+3/2)_k x^k to _BETA3_SERIES_TERMS terms, by
+    ``_horner``.  Every ratio (1/2-H+j) / (H+3/2+j) lies in (-1, 1), so term
+    k is at most x^k < 2^-k and the terms dropped sum below 2^-62 of the
+    value."""
     j = np.arange(_BETA3_SERIES_TERMS - 1)
     ratios = (0.5 - H + j) / (H + 1.5 + j)
     coef = np.concatenate([[1.0], np.cumprod(ratios)])
-    return np.polynomial.polynomial.polyval(x, coef)
+    return _horner(coef, x)
 
 
 def _beta3_raw(H: float, x: np.ndarray) -> np.ndarray:
@@ -178,7 +195,7 @@ def _beta3_raw(H: float, x: np.ndarray) -> np.ndarray:
     out[far] = (2 * p * cf ** (2 * H) - 1.0 - xf ** (2 * H)
                 + 4 * H / (H + 0.5) * xf ** (H + 0.5)
                 * _beta3_far_2f1(H, xf)) / (2 * H)
-    out[~far] = cn * cn * np.polynomial.polynomial.polyval(cn, _beta3_series(H))
+    out[~far] = cn * cn * _horner(_beta3_series(H), cn)
     return out
 
 

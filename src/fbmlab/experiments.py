@@ -625,9 +625,11 @@ def _record_blocks(per_path: PerPath, fields, template, nonfinite: dict,
     """The text of each block of records at one (f, n, t), in record order,
     joined by ``sep``.  ``template(label, n, t)`` is a %-format with one
     ``%s`` per name in ``fields`` ("path" or a column key).  A column that
-    does not depend on f is formatted once per (n, t) and kept as one
-    space-joined str (no repr holds a space): kept as a list, its small strs
-    would hold about 40% of a report's bytes until the last f."""
+    does not depend on f is formatted once per distinct block content (its
+    bytes: under ``dt2h`` every n shares one bandwidth, so L and L' repeat
+    across n) and kept as one space-joined str (no repr holds a space):
+    kept as a list, its small strs would hold about 40% of a report's bytes
+    until the last f."""
     paths = list(map(str, range(per_path.shape[-1])))
     shared: dict = {}
     for (i_f, label), (i_n, n), (i_t, t) in product(
@@ -641,10 +643,11 @@ def _record_blocks(per_path: PerPath, fields, template, nonfinite: dict,
                 texts.append(_reprs(per_path.block(k, i_f, i_n, i_t),
                                     nonfinite))
             else:
-                if (k, i_n, i_t) not in shared:
-                    shared[k, i_n, i_t] = " ".join(_reprs(
-                        per_path.block(k, i_f, i_n, i_t), nonfinite))
-                texts.append(shared[k, i_n, i_t].split(" "))
+                block = per_path.block(k, i_f, i_n, i_t)
+                key = block.tobytes()
+                if key not in shared:
+                    shared[key] = " ".join(_reprs(block, nonfinite))
+                texts.append(shared[key].split(" "))
         yield sep.join(map(template(label, n, t).__mod__, zip(*texts)))
 
 

@@ -178,6 +178,8 @@ class FbmPath:
     def __post_init__(self):
         _check_h(self.H)
         _check_grid(self.T, self.N)
+        _integer("seed", self.seed, least=0)
+        _integer("path_index", self.path_index, least=0)
         if self.values.shape != (self.N + 1,):
             raise ValueError("values must have length N+1")
         if self.values[0] != 0.0:
@@ -195,7 +197,8 @@ class FbmPath:
 def path_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for one path: keyed by (seed, index), so the
     draw is identical no matter which worker or order produced it."""
-    return np.random.default_rng([seed, index])
+    return np.random.default_rng([_integer("seed", seed, least=0),
+                                  _integer("index", index, least=0)])
 
 
 @functools.lru_cache(maxsize=8)

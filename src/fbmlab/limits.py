@@ -12,22 +12,25 @@ nodes as the eigenvalues of a 128 x 128 matrix, and at that size OpenBLAS
 runs its threaded eigensolver, whose idle worker thread then spins beside
 the kernel and slows it.  The recurrence's weights are also closer to a
 40-digit reference at order 128 (3e-13 against numpy's 1.4e-11).  The
-Hermite rule is numpy's ``hermgauss(48)``, a 48 x 48 eigenproblem below
-the threading size.  The a_h rule is folded by two exact symmetries
-of the integrand: it is even in the frequency (F(-eta) = conj F(eta) for
-real f), so the 24 positive Hermite nodes run at twice their weight, and
-symmetric in the two time scales (``beta3`` takes their min and max), so
-only the upper triangle runs, 2080 and 8256 nodes.  ``a_one_third`` is
-m1(f) m1(g) times one number per convention; ``covariance_matrix``
-assembles the limit covariance of a vector of test functions and its PSD
-square root.  One kernel, ``_a_h_tensor``, serves a whole matrix: one
-node-chunked pass per tensor order with one Fourier profile per function
-(``a_h`` is one pair), taken from the function's closed-form transform;
-``a_h`` and ``covariance_matrix`` refuse a function without one.
+Hermite rule takes numpy ``hermgauss(48)``'s own steps, bit for bit, on a
+48 x 48 eigenproblem below the threading size, so that ``numpy.polynomial``
+(which numpy imports on first use) is never loaded.  The a_h rule is folded
+by two exact symmetries of the integrand: it is even in the frequency
+(F(-eta) = conj F(eta) for real f), so the 24 positive Hermite nodes run
+at twice their weight, and symmetric in the two time scales (``beta3``
+takes their min and max), so only the upper triangle runs, 2080 and 8256
+nodes.  ``a_one_third`` is m1(f) m1(g) times one number per convention;
+``covariance_matrix`` assembles the limit covariance of a vector of test
+functions and its PSD square root.  One kernel, ``_a_h_tensor``, serves a
+whole matrix: one node-chunked pass per tensor order with one Fourier
+profile per function (``a_h`` is one pair), taken from the function's
+closed-form transform; ``a_h`` and ``covariance_matrix`` refuse a function
+without one.
 
-Nothing here loads scipy, and neither does ``import fbmlab``: path
-synthesis uses ``numpy.fft`` and ``constants`` sums its series itself.  The
-package imports scipy only where a call needs it, on that call:
+Nothing here loads scipy or ``numpy.polynomial``, and neither does
+``import fbmlab``: path synthesis uses ``numpy.fft`` and ``constants`` sums
+its series by its own Horner loop.  The package imports scipy only where a
+call needs it, on that call:
 
   * ``scipy.integrate``: the adaptive quadratures ``fbm.mu``,
     ``fbm.conditional_increment_variance``,
@@ -159,11 +162,41 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _hermite(n: int, x: np.ndarray) -> np.ndarray:
+    """h_n(x) = H_n(x) / sqrt(2^n n! sqrt(pi)), the normalized Hermite
+    polynomial, n >= 0, by numpy ``hermgauss``'s own backward recurrence,
+    step for step."""
+    c1 = 1.0 / math.sqrt(math.sqrt(math.pi))
+    if n == 0:
+        return np.full(x.shape, c1)
+    c0, nd = 0.0, float(n)
+    for _ in range(n - 1):
+        c0, c1 = (-c1 * math.sqrt((nd - 1.0) / nd),
+                  c0 + c1 * x * math.sqrt(2.0 / nd))
+        nd -= 1.0
+    return c0 + c1 * x * math.sqrt(2.0)
+
+
 @functools.cache
 def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``order``-point Gauss-Hermite rule, once per process and
-    order, read-only."""
-    y, wy = np.polynomial.hermite.hermgauss(order)
+    """The ``order``-point Gauss-Hermite rule (weight exp(-y^2)), once per
+    process and order, read-only, bit for bit numpy's ``hermgauss``: the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix, off-diagonal
+    sqrt(k/2), as nodes; one Newton step on ``_hermite``; weights
+    1 / h_{n-1}(y)^2 (scaled by their largest h_{n-1} first); both
+    symmetrized, and the weights scaled to sum to sqrt(pi)."""
+    off = np.sqrt(0.5 * np.arange(1, order))
+    jacobi = np.zeros((order, order))
+    jacobi.flat[1::order + 1] = jacobi.flat[order::order + 1] = off
+    y = np.linalg.eigvalsh(jacobi)
+    y -= _hermite(order, y) / (_hermite(order - 1, y)
+                               * math.sqrt(2 * order))
+    fm = _hermite(order - 1, y)
+    fm /= np.abs(fm).max()
+    wy = 1.0 / (fm * fm)
+    wy = (wy + wy[::-1]) / 2
+    y = (y - y[::-1]) / 2
+    wy *= math.sqrt(math.pi) / wy.sum()
     y.flags.writeable = wy.flags.writeable = False
     return y, wy
 

@@ -62,6 +62,24 @@ REFUSED = {
         lambda: fbm.FbmPath(H=0.6, T=1.0, N=True, values=np.zeros(2),
                             seed=0, path_index=0, method="synthetic"),
         "N must be an integer, got bool True"),
+    "FbmPath-seed-float": (
+        lambda: fbm.FbmPath(H=0.6, T=1.0, N=1, values=np.zeros(2),
+                            seed=1.5, path_index=0, method="synthetic"),
+        "seed must be an integer, got float 1.5"),
+    "FbmPath-seed-negative": (
+        lambda: fbm.FbmPath(H=0.6, T=1.0, N=1, values=np.zeros(2),
+                            seed=-1, path_index=0, method="synthetic"),
+        "seed must be >= 0, got -1"),
+    "FbmPath-path_index-float": (
+        lambda: fbm.FbmPath(H=0.6, T=1.0, N=1, values=np.zeros(2),
+                            seed=0, path_index=1.5, method="synthetic"),
+        "path_index must be an integer, got float 1.5"),
+    "path_rng-seed-bool": (
+        lambda: fbm.path_rng(True, 0),
+        "seed must be an integer, got bool True"),
+    "path_rng-index-float": (
+        lambda: fbm.path_rng(0, 1.5),
+        "index must be an integer, got float 1.5"),
     "poly_bump-k-bool": (
         lambda: tf.poly_bump(k=True),
         "poly_bump's integer k must be an integer, got bool True"),

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.special import hyp2f1
 
 from fbmlab import constants as cst
@@ -233,6 +234,25 @@ class TestBeta3:
         np.testing.assert_allclose(got, want, rtol=4.5e-16, atol=0)
         np.testing.assert_allclose(got, hyp2f1(1.0, 0.5 - H, H + 1.5, x),
                                    rtol=2e-15, atol=0)
+
+    @pytest.mark.parametrize("H", (0.05, 0.25, 1 / 3, 0.45, 0.6, 0.75, 0.95))
+    def test_horner_is_polyval_to_the_bit(self, H, monkeypatch):
+        # beta3's two series, the far 2F1 and the near-diagonal one, summed
+        # by _horner and then by numpy's polyval; x = lo/hi on a grid
+        # holding 0, 1/2 and 1, so both branches run
+        x = np.linspace(0.0, 1.0, 4097)
+        got = cst.beta3(H, x, 1.0)
+        horner, coefs = cst._horner, []
+
+        def by_polyval(coef, y):
+            coefs.append(coef)
+            return polyval(y, coef)
+
+        monkeypatch.setattr(cst, "_horner", by_polyval)
+        assert np.array_equal(cst.beta3(H, x, 1.0), got)
+        assert len(coefs) == 2
+        for coef in coefs:
+            assert np.array_equal(horner(coef, x), polyval(x, coef))
 
     def test_half_default_is_zero(self):
         assert cst.beta3(0.5, 2.0, 1.0) == 0.0

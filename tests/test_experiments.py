@@ -701,6 +701,29 @@ class TestPerPathColumns:
         assert peak < 1.5 * len(data)
         assert data == oracles.oracle_serialize_report(rep, "csv")
 
+    def test_repeated_blocks_formatted_once(self, monkeypatch):
+        # under dt2h every n shares one bandwidth, so the columns that do
+        # not depend on f (L, L') repeat across n: each distinct block is
+        # formatted once, and the bytes stay the oracle's
+        rep = exp.derivative_experiment(exp.ExperimentConfig(
+            H=0.25, f=("hat:a=-1,b=1", "indicator:a=0,b=1"),
+            t_list=(0.5, 1.0), n_ladder=(4, 16, 64), path_count=5,
+            grid_per_unit=256, seed=3, batch_size=2))
+        pp = rep.per_path
+        F, Nn, Nt, _ = pp.shape
+        per_f = [k for k, a in pp.columns.items() if a.ndim == 4]
+        shared = {pp.block(k, 0, i_n, i_t).tobytes()
+                  for k, a in pp.columns.items() if a.ndim == 3
+                  for i_n in range(Nn) for i_t in range(Nt)}
+        assert len(shared) < (len(pp.columns) - len(per_f)) * Nn * Nt
+        calls = []
+        reprs = exp._reprs
+        monkeypatch.setattr(exp, "_reprs",
+                            lambda *args: calls.append(1) or reprs(*args))
+        data = exp.serialize_report(rep)
+        assert len(calls) == len(per_f) * F * Nn * Nt + len(shared)
+        assert data == oracles.oracle_serialize_report(rep)
+
     def test_records_equal_the_oracle_records(self, report):
         records = oracles.oracle_records(report)
         pp = report.per_path

@@ -8,6 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy import integrate
 from scipy.special import gamma as sgamma
 
@@ -341,8 +342,9 @@ def reference_gauss_legendre(n: int, dps: int = 40):
 
 
 class TestGaussRules:
-    """The Gauss-Legendre rule comes from the Legendre recurrence, built
-    once per process and order, with no eigensolver of more than 64 x 64."""
+    """The Gauss-Legendre rule comes from the Legendre recurrence and the
+    Gauss-Hermite rule is numpy's ``hermgauss`` to the bit, each built once
+    per process and order, with no eigensolver of more than 64 x 64."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 32, 47, 64, 128])
     def test_legendre_against_mpmath(self, n):
@@ -355,6 +357,12 @@ class TestGaussRules:
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         if n % 2:
             assert x[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 47, 48, 64])
+    def test_hermite_is_hermgauss_to_the_bit(self, n):
+        y, wy = limits._gauss_hermite(n)
+        ref_y, ref_wy = hermgauss(n)
+        assert np.array_equal(y, ref_y) and np.array_equal(wy, ref_wy)
 
     def test_rules_cached_read_only(self):
         for rule in (limits._gauss_legendre, limits._gauss_hermite):
@@ -388,7 +396,8 @@ class TestGaussRules:
         limits.a_h(GD, tf.hat(), 0.6)
         limits.covariance_matrix(fs, 0.6)
         limits.covariance_matrix(fs, 1.0 / 3.0)
-        # hermgauss(48) and the matrices' eigh and norms ran
+        # the Hermite rule's 48 x 48 eigvalsh and the matrices' eigh and
+        # norms ran
         assert (48, 48) in shapes
         assert max(max(s, default=0) for s in shapes) <= 64
 
@@ -402,7 +411,7 @@ class TestGaussRules:
             raise AssertionError("a rule was built again")
 
         monkeypatch.setattr(limits, "_legendre", fail)
-        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", fail)
+        monkeypatch.setattr(limits, "_hermite", fail)
         limits.a_h(tf.hat(), GD, 0.7)
         limits.covariance_matrix([GD, tf.hat()], 0.6)
         after = [rule.cache_info() for rule in (limits._gauss_legendre,
@@ -516,6 +525,51 @@ print(seen)
     assert out == str([(step, False) for step in (
         "import", "clt_experiment", "derivative_experiment",
         "covariance_matrix", "cli constants")])
+
+
+def test_workloads_and_constants_leave_numpy_polynomial_unloaded():
+    # beta3 sums its series by its own Horner loop and the Gauss-Hermite
+    # rule is built in the package, so numpy.polynomial (which numpy loads
+    # on first access) is never imported
+    code = """
+import sys
+loaded = lambda: any(m == 'numpy.polynomial'
+                     or m.startswith('numpy.polynomial.') for m in sys.modules)
+import fbmlab
+from fbmlab import constants as cst, experiments as exp
+from fbmlab import limits, testfuncs as tf
+seen = [('import', loaded())]
+small = dict(t_list=(1.0,), n_ladder=(4, 8), path_count=2,
+             grid_per_unit=64, seed=0, batch_size=2, threads=1)
+exp.clt_experiment(exp.ExperimentConfig(
+    H=1 / 3, f=('gaussian_derivative:sigma=1',), **small))
+seen.append(('clt_experiment', loaded()))
+exp.derivative_experiment(exp.ExperimentConfig(
+    H=0.25, f=('gaussian_bump:sigma=1,center=0.5',), **small))
+seen.append(('derivative_experiment', loaded()))
+fs = [tf.gaussian_derivative(1.0), tf.poly_bump(), tf.hat()]
+limits.covariance_matrix(fs, 0.6)
+limits.covariance_matrix(fs[::2], 1 / 3)
+seen.append(('covariance_matrix', loaded()))
+cst.beta3(0.6, [0.1, 0.9, 2.0], 1.0)
+seen.append(('beta3', loaded()))
+limits.a_one_third(fs[0], fs[2])
+seen.append(('a_one_third', loaded()))
+import runpy
+for argv in (['--H', '0.3'], ['--H', '0.6', '--beta3', '0.25,1']):
+    sys.argv = ['fbmlab', 'constants', *argv]
+    try:
+        runpy.run_module('fbmlab.cli', run_name='__main__', alter_sys=True)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+    seen.append(('cli ' + ' '.join(sys.argv[1:]), loaded()))
+print(seen)
+"""
+    out = _fresh_interpreter(code).strip().splitlines()[-1]
+    assert out == str([(step, False) for step in (
+        "import", "clt_experiment", "derivative_experiment",
+        "covariance_matrix", "beta3", "a_one_third", "cli constants --H 0.3",
+        "cli constants --H 0.6 --beta3 0.25,1")])
 
 
 @pytest.mark.parametrize("call, expect", [
