@@ -48,8 +48,10 @@ The argument rules live here, which every module imports: ``_check_h``;
 ``_integer`` (``operator.index``, no bool, an optional least value) for
 seeds, counts, grid sizes N, start indices, ``ExperimentConfig``'s integer
 fields and ``poly_bump``'s k; ``_real`` (a finite ``numbers.Real``, no
-bool) for levels lambda, horizons T, ``t_list`` times and the n and t of
-one path's functional.  Each refusal is a ``ValueError`` naming the value.
+bool) for levels lambda, horizons T, ``t_list`` times, the n and t of one
+path's functional, the built-ins' ends, sigma and center, and the times of
+the expected local times and of the Volterra-kernel integrals.  Each
+refusal is a ``ValueError`` naming the value.
 """
 from __future__ import annotations
 
@@ -222,10 +224,13 @@ def beta3(H: float, s1, s2, mode: Beta3Mode = Beta3Mode.ZERO):
     gives the H -> 1/2 limit hi * (2(1-x) Li2(1-x) - x log^2 x).
     """
     _check_h(H)
-    s1, s2 = np.broadcast_arrays(np.asarray(s1, dtype=float),
-                                 np.asarray(s2, dtype=float))
-    if np.any(s1 < 0) or np.any(s2 < 0):
-        raise ValueError("beta3 requires nonnegative s1, s2")
+    s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
+    for name, s in (("s1", s1), ("s2", s2)):
+        ok = (s >= 0) & (s < math.inf)
+        if not ok.all():
+            raise ValueError("beta3 requires nonnegative finite s1, s2, got "
+                             f"{name}={float(s[~ok][0])!r}")
+    s1, s2 = np.broadcast_arrays(s1, s2)
     lo, hi = np.minimum(s1, s2), np.maximum(s1, s2)
     x = np.divide(lo, hi, out=np.ones_like(hi), where=hi > 0)
     if abs(H - 0.5) > CRITICAL_TOL:

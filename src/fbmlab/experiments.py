@@ -64,7 +64,8 @@ from .errors import CostGuardError
 from .fbm import (VALUE_METHODS, FbmPath, SynthesisBuffers, _check_request,
                   group_rows, sample_values)
 from .limits import QuadResult, a_h, a_one_third
-from .localtime import heat_kernel, heat_kernel_prime, trapezoid_prefixes
+from .localtime import (_check_eps, heat_kernel, heat_kernel_prime,
+                        trapezoid_prefixes)
 from .testfuncs import TestFunction, from_spec, moments, require_xi
 
 __all__ = [
@@ -87,9 +88,7 @@ def _epsilon(policy: str, dt: float, H: float, n: int) -> float:
         return float(n) ** (-2 * H)
     if policy.startswith("fixed:"):
         val = float(policy.split(":", 1)[1])
-        if not 0 < val < math.inf:
-            raise ValueError(f"fixed eps must be positive and finite, got "
-                             f"{val!r}")
+        _check_eps(val)
         return val
     raise ValueError(f"unknown eps policy {policy!r}")
 

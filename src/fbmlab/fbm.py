@@ -72,8 +72,11 @@ def covariance(H: float, s, t):
     _check_h(H)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(s < 0) or np.any(t < 0):
-        raise ValueError("covariance requires nonnegative times")
+    for name, times in (("s", s), ("t", t)):
+        ok = (times >= 0) & (times < math.inf)
+        if not ok.all():
+            raise ValueError("covariance requires nonnegative finite times, "
+                             f"got {name}={float(times[~ok][0])!r}")
     out = 0.5 * (s ** (2 * H) + t ** (2 * H) - np.abs(t - s) ** (2 * H))
     return float(out) if out.ndim == 0 else out
 
@@ -91,10 +94,14 @@ def volterra_kernel(H: float, t, s):
     """Moving-average kernel K_H(t,s), the closed form of the module
     docstring for s < t and zero for s >= t by convention."""
     _check_h(H)
-    t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                       np.asarray(s, dtype=float))
-    if np.any(t_arr <= 0) or np.any(s_arr <= 0):
-        raise ValueError("volterra_kernel requires strictly positive times")
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    for name, times in (("t", t), ("s", s)):
+        ok = (times > 0) & (times < math.inf)
+        if not ok.all():
+            raise ValueError("volterra_kernel requires strictly positive "
+                             "finite times, got "
+                             f"{name}={float(times[~ok][0])!r}")
+    t_arr, s_arr = np.broadcast_arrays(t, s)
     out = np.zeros(t_arr.shape, dtype=float)
     mask = s_arr < t_arr
     out[mask] = _kernel_core(H, t_arr[mask], s_arr[mask])
@@ -109,6 +116,7 @@ def mu(H: float, r: float, s: float) -> float:
     carries the endpoint power as its QAWS weight.
     """
     _check_h(H)
+    r, s = _real("r", r), _real("s", s)
     if r < 0 or s < r:
         raise ValueError("mu requires 0 <= r <= s")
     if s == r:
@@ -138,6 +146,7 @@ def conditional_increment_variance(H: float, r: float, t1: float, t2: float) -> 
     """Var[B_{r,t1} - B_{r,t2}] = int_0^r (K_H(t1,th) - K_H(t2,th))^2 dth,
     computed by quadrature (no sampling).  Requires r <= min(t1, t2)."""
     _check_h(H)
+    r, t1, t2 = _real("r", r), _real("t1", t1), _real("t2", t2)
     if r < 0 or r > min(t1, t2):
         raise ValueError("requires 0 <= r <= min(t1, t2)")
     if t1 == t2 or r == 0:

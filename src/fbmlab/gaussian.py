@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import _integer
+from .constants import _integer, _real
 from .fbm import covariance
 
 __all__ = [
@@ -130,6 +130,7 @@ def flip_variance_check(spec: GaussianVectorSpec, A, B,
 def lnd_ratio(H: float, t: float, grid: Sequence[float]) -> float:
     """Conditional variance of B_t given the grid values, divided by
     (min distance to the grid)^(2H): a local-nondeterminism diagnostic."""
+    t = _real("t", t)
     if t <= 0:
         raise ValueError("t must be positive")
     grid = list(grid)
@@ -144,16 +145,10 @@ def lnd_ratio(H: float, t: float, grid: Sequence[float]) -> float:
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root by spectral decomposition; eigenvalues down
-    to -1e-10 * trace are clamped to zero."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.abs(M).max())):
-        raise ValueError("matrix must be symmetric")
-    vals, vecs = np.linalg.eigh(M)
-    floor = -1e-10 * max(np.trace(M), 1.0)
-    if vals.min() < floor:
-        raise ValueError(f"matrix is not PSD (eigenvalue {vals.min():g})")
+    """Symmetric PSD square root by spectral decomposition of a matrix that
+    ``GaussianVectorSpec`` accepts as a covariance (square, symmetric, no
+    eigenvalue below -1e-10 * max(trace, 1)); the tolerated negative
+    eigenvalues are clamped to zero."""
+    vals, vecs = np.linalg.eigh(GaussianVectorSpec(M).covariance)
     root = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
     return 0.5 * (root + root.T)

@@ -22,10 +22,11 @@ takes their min and max), so only the upper triangle runs, 2080 and 8256
 nodes.  ``a_one_third`` is m1(f) m1(g) times one number per convention;
 ``covariance_matrix`` assembles the limit covariance of a vector of test
 functions and its PSD square root.  One kernel, ``_a_h_tensor``, serves a
-whole matrix: one node-chunked pass per tensor order with one Fourier
-profile per function (``a_h`` is one pair), taken from the function's
-closed-form transform; ``a_h`` and ``covariance_matrix`` refuse a function
-without one.
+whole matrix: one node-chunked pass per tensor order (``a_h`` is one pair),
+which takes each function's shifted transform F(eta) = fhat(eta) - fhat(0)
+from ``testfuncs.fourier``; ``a_h`` and ``covariance_matrix`` refuse a
+function without a closed-form transform, which the numeric fallback of
+``fourier`` would evaluate node by node.
 
 Nothing here loads scipy or ``numpy.polynomial``, and neither does
 ``import fbmlab``: path synthesis uses ``numpy.fft`` and ``constants`` sums
@@ -92,22 +93,6 @@ def b_eta(f: TestFunction, g: TestFunction, eta: float) -> complex:
     F = fourier(f, eta) - fourier(f, 0.0)
     G = fourier(g, eta) - fourier(g, 0.0)
     return F * np.conj(G)
-
-
-class _FourierProfile:
-    """Vectorized eta -> fhat(eta) - fhat(0) for one test function, from its
-    closed-form transform; a function without one is refused."""
-
-    def __init__(self, f: TestFunction):
-        if f.closed_form_fourier is None:
-            raise ValueError(f"{f.label} has no closed-form Fourier "
-                             "transform, which the a_h kernel needs")
-        self._ft = f.closed_form_fourier
-        self._m0 = complex(fourier(f, 0.0))
-
-    def shifted(self, eta: np.ndarray) -> np.ndarray:
-        """F(eta) = fhat(eta) - fhat(0), vectorized, conjugate-symmetric."""
-        return np.asarray(self._ft(eta)) - self._m0
 
 
 #: Newton steps from Tricomi's guesses: at orders up to 300 the third
@@ -211,10 +196,12 @@ _GL_ORDERS = (64, 128)
 _CHUNK_NODES = 2 ** 10
 
 
-def _a_h_tensor(profiles: Sequence[_FourierProfile], pairs, H: float,
+def _a_h_tensor(fs: Sequence[TestFunction], pairs, H: float,
                 order: int) -> np.ndarray:
-    """The a_h kernel at tensor order ``order``: the form of ``profiles[i]``
-    and ``profiles[j]`` for each (i, j) in ``pairs``.
+    """The a_h kernel at tensor order ``order``: the form of ``fs[i]`` and
+    ``fs[j]`` for each (i, j) in ``pairs``, each function entering through
+    F(eta) = ``fourier(f, eta)`` - fhat(0), with fhat(0) = ``fourier(f, 0.0)``
+    taken once per function.
 
     The rule is the full ``_GH_ORDER``-point Gauss-Hermite rule times the
     full ``order`` x ``order`` Gauss-Legendre grid, folded by two exact
@@ -228,7 +215,7 @@ def _a_h_tensor(profiles: Sequence[_FourierProfile], pairs, H: float,
         arguments, so only the nodes i <= j of the time-scale grid run, an
         off-diagonal one weighted 2 w_i w_j.
 
-    That is a quarter of the unfolded profile values.  Each pair's row is
+    That is a quarter of the unfolded transform values.  Each pair's row is
     reduced by its own dot, so a pair's value does not depend on which
     other pairs share the call."""
     b1, b2 = beta1(H), beta2(H)
@@ -248,11 +235,12 @@ def _a_h_tensor(profiles: Sequence[_FourierProfile], pairs, H: float,
     # eta-integral with the exact Gaussian weight:
     #   int eta^2 b(eta) exp(-V eta^2 / 2) deta
     #     = (2/V)^{3/2} sum_i w_i y_i^2 b(y_i sqrt(2/V))
+    m0 = [fourier(fn, 0.0) for fn in fs]
     inner = np.empty((len(pairs), V.size))
     for start in range(0, V.size, _CHUNK_NODES):
         Vc = V[start:start + _CHUNK_NODES]
         eta = y[:, None] * np.sqrt(2.0 / Vc)[None, :]
-        shifted = [prof.shifted(eta) for prof in profiles]
+        shifted = [fourier(fn, eta) - m for fn, m in zip(fs, m0)]
         for k, (i, j) in enumerate(pairs):
             bvals = (shifted[i] * np.conj(shifted[j])).real
             inner[k, start:start + Vc.size] = (2.0 / Vc) ** 1.5 * np.einsum(
@@ -265,8 +253,11 @@ def _a_h_refined(fs: Sequence[TestFunction], pairs, H: float):
     """a_h of each pair at the fine order, and its change from the coarse
     order as the error estimate."""
     require_xi(fs, 1.0)
-    profiles = [_FourierProfile(fn) for fn in fs]
-    coarse, fine = (_a_h_tensor(profiles, pairs, H, order)
+    for fn in fs:
+        if fn.closed_form_fourier is None:
+            raise ValueError(f"{fn.label} has no closed-form Fourier "
+                             "transform, which the a_h kernel needs")
+    coarse, fine = (_a_h_tensor(fs, pairs, H, order)
                     for order in _GL_ORDERS)
     return fine, np.abs(fine - coarse)
 

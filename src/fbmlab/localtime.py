@@ -299,10 +299,12 @@ def occupation_density_check(path: FbmPath, f: TestFunction,
     return lhs, rhs
 
 
-def _check_h_t(H: float, t: float) -> None:
+def _check_h_t(H: float, t) -> float:
     _check_h(H)
-    if not 0 <= t < math.inf:
+    t = _real("t", t)
+    if t < 0:
         raise ValueError(f"t must be nonnegative and finite, got t={t!r}")
+    return t
 
 
 def expected_local_time(H: float, t: float, lam: float) -> float:
@@ -312,7 +314,7 @@ def expected_local_time(H: float, t: float, lam: float) -> float:
     This is the limit of the mollified estimator's mean as eps -> 0 and
     N -> infinity, not its mean at a fixed grid; for that see
     ``expected_mollified_local_time``."""
-    _check_h_t(H, t)
+    t = _check_h_t(H, t)
     lam = _real("lambda", lam)
     if t == 0.0:
         return 0.0
@@ -336,7 +338,7 @@ def expected_mollified_local_time(H: float, t: float, lam: float,
     B_{t_k} ~ N(0, t_k^{2H}) with t_k = k t / N, so E p_eps(B_{t_k} - lam)
     = p_{t_k^{2H} + eps}(lam) and the trapezoid sum's mean is
     dt * sum'_k p_{t_k^{2H} + eps}(lam), the endpoints weighted by 1/2."""
-    _check_h_t(H, t)
+    t = _check_h_t(H, t)
     lam = _real("lambda", lam)
     _check_eps(eps)
     _integer("N", N, least=1)

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import _integer
+from .constants import _integer, _real
 from .localtime import heat_kernel, heat_kernel_prime
 
 __all__ = [
@@ -187,24 +187,24 @@ def _fourier_numeric(f: TestFunction, eta: float) -> complex:
 # built-ins
 
 
-def _check_gaussian(name: str, sigma: float, center: float = 0.0) -> float:
-    """The variance sigma^2 of a Gaussian built-in; the heat kernel divides
-    by it and by 2 pi times it, so both must be normal doubles."""
+def _check_gaussian(name: str, sigma, center=0.0):
+    """sigma, center and the variance sigma^2 of a Gaussian built-in; the
+    heat kernel divides by sigma^2 and by 2 pi times it, so both must be
+    normal doubles."""
+    sigma = _real(f"{name}'s sigma", sigma)
+    center = _real(f"{name}'s center", center)
     s2 = sigma * sigma
     if not (sigma > 0 and np.finfo(float).tiny <= s2
             and 2 * math.pi * s2 < math.inf):
         raise ValueError(f"{name} requires a finite sigma > 0 with sigma^2 and"
                          f" 2 pi sigma^2 normal doubles, got sigma={sigma!r}")
-    if not math.isfinite(center):
-        raise ValueError(f"{name} requires a finite center, got "
-                         f"center={center!r}")
-    return s2
+    return sigma, center, s2
 
 
 def gaussian_bump(sigma: float = 1.0, center: float = 0.0) -> TestFunction:
     """Normalized Gaussian density with the given width and center: the
     heat kernel p_{sigma^2}(x - center)."""
-    s2 = _check_gaussian("gaussian_bump", sigma, center)
+    sigma, center, s2 = _check_gaussian("gaussian_bump", sigma, center)
 
     def ev(x):
         y = np.subtract(x, center, out=np.empty_like(x, dtype=float))
@@ -221,7 +221,7 @@ def gaussian_bump(sigma: float = 1.0, center: float = 0.0) -> TestFunction:
 def gaussian_derivative(sigma: float = 1.0) -> TestFunction:
     """x-derivative of the centered Gaussian density, p'_{sigma^2}: zero
     total mass, first moment -1 (the classic zero-energy example)."""
-    s2 = _check_gaussian("gaussian_derivative", sigma)
+    sigma, _, s2 = _check_gaussian("gaussian_derivative", sigma)
 
     def ev(x):
         return heat_kernel_prime(s2, x, out=np.empty_like(x, dtype=float))
@@ -235,14 +235,12 @@ def gaussian_derivative(sigma: float = 1.0) -> TestFunction:
                         closed_form_fourier=ft, scale_hint=sigma)
 
 
-def _check_ends(name: str, a: float, b: float) -> None:
-    """A built-in's support [a, b] needs finite ends with a < b."""
-    for end, value in (("a", a), ("b", b)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} requires finite ends, got "
-                             f"{end}={value!r}")
+def _check_ends(name: str, a, b) -> tuple[float, float]:
+    """A built-in's support [a, b]: finite ends with a < b."""
+    a, b = _real(f"{name}'s end a", a), _real(f"{name}'s end b", b)
     if not b > a:
         raise ValueError(f"{name} requires a < b")
+    return a, b
 
 
 def _phase(eta: np.ndarray, c: float):
@@ -260,7 +258,7 @@ def _phase(eta: np.ndarray, c: float):
 
 
 def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
-    _check_ends("indicator", a, b)
+    a, b = _check_ends("indicator", a, b)
 
     def ev(x):
         out = np.greater_equal(x, a, out=np.empty_like(x, dtype=float))
@@ -282,7 +280,7 @@ def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
 
 def hat(a: float = -1.0, b: float = 1.0) -> TestFunction:
     """Triangular bump: 0 at the endpoints, 1 at the midpoint."""
-    _check_ends("hat", a, b)
+    a, b = _check_ends("hat", a, b)
     c = 0.5 * (a + b)
     w = 0.5 * (b - a)
 
@@ -353,7 +351,7 @@ def poly_bump(a: float = -1.0, b: float = 1.0, k: int = 2) -> TestFunction:
     j_k the spherical Bessel function, evaluated in elementary functions
     (``_poly_bump_profile``) to 1e-12 m0 for k <= 40; above that only the
     numeric transform is offered."""
-    _check_ends("poly_bump", a, b)
+    a, b = _check_ends("poly_bump", a, b)
     k = _integer("poly_bump's integer k", k, least=1)
     c = 0.5 * (a + b)
     w = 0.5 * (b - a)

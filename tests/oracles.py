@@ -6,7 +6,7 @@ Romberg (trapezoid + Richardson) on explicitly substituted variables, and
 the variance-form oracle is a brute-force tensor-grid trapezoid rule.  The
 exceptions reuse library routines to pin one construction each:
 ``reference_a_h_tensor``, the a_h kernel before its symmetry folds, reuses
-the library's constants, profiles and quadrature rules, and
+the library's constants, Fourier transforms and quadrature rules, and
 ``reference_volterra_matrix`` and ``reference_conditional_kernel_row``,
 the masked Volterra-kernel constructions before ``volterra_kernel`` served
 them, reuse its closed-form core.
@@ -223,19 +223,22 @@ def oracle_a_h_tensor(H: float, sigma: float = 1.0, m_s: int = 400,
     return b1 * b1 / (2.0 * math.pi) * total
 
 
-def reference_a_h_tensor(profiles, pairs, H: float, order: int,
+def reference_a_h_tensor(fs, pairs, H: float, order: int,
                          gh_order: int = 48) -> np.ndarray:
-    """The unfolded a_h kernel, kept as the reference for ``limits``'
-    folded one: the full ``gh_order``-node Gauss-Hermite rule on both signs
-    of eta and the full ``order`` x ``order`` Gauss-Legendre time-scale grid.
+    """The unfolded a_h kernel of the test functions ``fs``, kept as the
+    reference for ``limits``' folded one: the full ``gh_order``-node
+    Gauss-Hermite rule on both signs of eta and the full ``order`` x
+    ``order`` Gauss-Legendre time-scale grid.
 
     Unlike the rest of this module it runs the library's ``beta1``,
-    ``beta2``, ``beta3``, Fourier profiles (``limits._FourierProfile``) and
-    quadrature rules (``limits._gauss_hermite`` and
-    ``limits._gauss_legendre``), so it pins the two symmetry folds and
-    nothing else; the rules have their own tests against mpmath."""
+    ``beta2``, ``beta3``, Fourier transforms (F(eta) = ``fourier(f, eta)``
+    - ``fourier(f, 0.0)``, as the kernel forms them) and quadrature rules
+    (``limits._gauss_hermite`` and ``limits._gauss_legendre``), so it pins
+    the two symmetry folds and nothing else; the rules have their own tests
+    against mpmath."""
     from fbmlab.constants import beta1, beta2, beta3
     from fbmlab.limits import _gauss_hermite, _gauss_legendre
+    from fbmlab.testfuncs import fourier
 
     b1, b2 = beta1(H), beta2(H)
     p = 1.0 / (H + 0.5)
@@ -253,11 +256,12 @@ def reference_a_h_tensor(profiles, pairs, H: float, order: int,
     # eta-integral with the exact Gaussian weight:
     #   int eta^2 b(eta) exp(-V eta^2 / 2) deta
     #     = (2/V)^{3/2} sum_i w_i y_i^2 b(y_i sqrt(2/V))
+    m0 = [fourier(fn, 0.0) for fn in fs]
     inner = np.empty((len(pairs), Vf.size))
     for start in range(0, Vf.size, 2 ** 10):
         Vc = Vf[start:start + 2 ** 10]
         eta = y[:, None] * np.sqrt(2.0 / Vc)[None, :]
-        shifted = [prof.shifted(eta) for prof in profiles]
+        shifted = [fourier(fn, eta) - m for fn, m in zip(fs, m0)]
         for k, (i, j) in enumerate(pairs):
             bvals = (shifted[i] * np.conj(shifted[j])).real
             inner[k, start:start + Vc.size] = (2.0 / Vc) ** 1.5 * np.einsum(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fbmlab
+from fbmlab import constants as cst
 from fbmlab import experiments as exp
 from fbmlab import fbm
 from fbmlab import gaussian
@@ -22,8 +23,9 @@ def path(N=16):
     return fbm.sample_paths(0.6, 1.0, N, 1, seed=2)[0]
 
 
-# each call ran, or failed with a TypeError, IndexError or OverflowError,
-# before the rules were shared
+# each call ran (a bool as 0 or 1, a NaN time giving 0.0 or NaN), or failed
+# with a TypeError, IndexError, OverflowError, ZeroDivisionError or a
+# misleading ValueError, before the rules were shared
 REFUSED = {
     "sample_paths-seed-bool": (
         lambda: fbm.sample_paths(0.6, 1.0, 8, 1, seed=True),
@@ -94,6 +96,33 @@ REFUSED = {
         lambda: exp.scaled_additive_functional(path(), tf.hat(), 0.0, 4,
                                                True),
         "t must be a finite real number, got bool True"),
+    "hat-a-bool": (
+        lambda: tf.hat(a=False, b=True),
+        "hat's end a must be a finite real number, got bool False"),
+    "gaussian_bump-sigma-bool": (
+        lambda: tf.gaussian_bump(sigma=True),
+        "gaussian_bump's sigma must be a finite real number, got bool True"),
+    "expected_local_time-t-bool": (
+        lambda: lt.expected_local_time(0.5, True, 0.0),
+        "t must be a finite real number, got bool True"),
+    "volterra_kernel-t-nan": (
+        lambda: fbm.volterra_kernel(0.3, math.nan, 0.5),
+        "volterra_kernel requires strictly positive finite times, got t=nan"),
+    "mu-s-nan": (
+        lambda: fbm.mu(0.3, 0.0, math.nan),
+        "s must be a finite real number, got float nan"),
+    "conditional_increment_variance-r-nan": (
+        lambda: fbm.conditional_increment_variance(0.3, math.nan, 1.0, 2.0),
+        "r must be a finite real number, got float nan"),
+    "covariance-s-nan": (
+        lambda: fbm.covariance(0.3, math.nan, 1.0),
+        "covariance requires nonnegative finite times, got s=nan"),
+    "lnd_ratio-t-nan": (
+        lambda: gaussian.lnd_ratio(0.3, math.nan, [0.5]),
+        "t must be a finite real number, got float nan"),
+    "beta3-s1-nan": (
+        lambda: cst.beta3(0.3, math.nan, 1.0),
+        "beta3 requires nonnegative finite s1, s2, got s1=nan"),
     "config-time-beyond-double": (
         lambda: exp.ExperimentConfig(H=0.6, t_list=(10 ** 400,)),
         f"a t_list time must be a finite real number, got int {10 ** 400}"),

@@ -1,9 +1,11 @@
+import ast
 import importlib
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -224,18 +226,23 @@ class TestKernel:
                 # the PSD clamp round-trips the matrix through eigh
                 assert abs(lm.matrix[i, j] - res.value) <= 1e-12
 
-    def test_one_fourier_profile_per_function(self, monkeypatch):
-        labels = []
-        fourier = limits.fourier
-
-        def counting(f, eta):
-            labels.append(f.label)
-            return fourier(f, eta)
-
-        monkeypatch.setattr(limits, "fourier", counting)
-        limits.covariance_matrix(self.functions(), 0.6)
-        # fhat(0) for each function; the kernel runs the closed forms
-        assert sorted(labels) == sorted(fn.label for fn in self.functions())
+    def test_closed_form_fourier_read_only_in_testfuncs(self):
+        # the kernel takes every transform from testfuncs.fourier; elsewhere
+        # the attribute is only tested against None, for the refusal
+        src = Path(limits.__file__).parent
+        for module in sorted(src.glob("*.py")):
+            if module.name == "testfuncs.py":
+                continue
+            tree = ast.parse(module.read_text())
+            presence = {id(node.left) for node in ast.walk(tree)
+                        if isinstance(node, ast.Compare)
+                        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                        and isinstance(node.comparators[0], ast.Constant)
+                        and node.comparators[0].value is None}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr == "closed_form_fourier"):
+                    assert id(node) in presence, (module.name, node.lineno)
 
     def test_peak_memory(self):
         fs = self.functions()
@@ -269,10 +276,9 @@ class TestFoldedKernel:
 
     @staticmethod
     def assert_matches_reference(H, order, fs=FUNCTIONS):
-        profiles = [limits._FourierProfile(fn) for fn in fs]
         pairs = list(zip(*np.triu_indices(len(fs))))
-        got = limits._a_h_tensor(profiles, pairs, H, order)
-        want = oracles.reference_a_h_tensor(profiles, pairs, H, order,
+        got = limits._a_h_tensor(fs, pairs, H, order)
+        want = oracles.reference_a_h_tensor(fs, pairs, H, order,
                                             gh_order=limits._GH_ORDER)
         # relative to the pair's Cauchy-Schwarz scale: an odd f against an
         # even g has a form of zero, up to rounding

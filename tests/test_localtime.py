@@ -448,8 +448,9 @@ def test_expected_local_times_refuse_bad_horizon(t):
     for call in (lambda: lt.expected_local_time(0.5, t, 0.0),
                  lambda: lt.expected_mollified_local_time(0.5, t, 0.0,
                                                           1e-3, 8)):
-        with pytest.raises(ValueError,
-                           match=f"t must be nonnegative and finite, got t={t}"):
+        message = (f"t must be nonnegative and finite, got t={t}" if t < 0
+                   else f"t must be a finite real number, got float {t}")
+        with pytest.raises(ValueError, match=message):
             call()
 
 

@@ -342,7 +342,7 @@ class TestCli:
         ("clt-experiment", b'{"H": 0.6, "lambda": "abc"}', "'abc'"),
         ("clt-experiment", b'{"H": 0.6, "lambda": [1]}', "[1]"),
         ("clt-experiment", b'{"H": 0.6, "eps_policy": "fixed:nan"}',
-         "fixed eps must be positive and finite"),
+         "eps must be positive and finite, got nan"),
         ("clt-experiment", b'{"H": 0.6, "grid_per_unit": 64.7}',
          "grid_per_unit must be an integer"),
         ("clt-experiment", b'{"H": 0.6, "grid_per_unit": true}',
@@ -356,27 +356,40 @@ class TestCli:
         ("clt-experiment", b'{"H": 0.6, "t_list": [true]}',
          "t_list time must be a finite real number, got bool True"),
         ("clt-experiment", b'{"H": 0.6, "f": ["hat:a=0,b=inf"]}',
-         "hat requires finite ends, got b=inf"),
+         "hat's end b must be a finite real number, got float inf"),
         ("clt-experiment",
          b'{"H": 0.6, "f": ["indicator:a=-inf,b=0"]}',
-         "indicator requires finite ends, got a=-inf"),
+         "indicator's end a must be a finite real number, got float -inf"),
         ("clt-experiment",
          b'{"H": 0.6, "f": ["poly_bump:a=0,b=inf,k=2"]}',
-         "poly_bump requires finite ends, got b=inf"),
+         "poly_bump's end b must be a finite real number, got float inf"),
+        # flags alone, no input file
+        ("kernel", ("--H", "0.3", "--mu", "0,nan"),
+         "s must be a finite real number, got float nan"),
+        ("kernel", ("--H", "0.3", "--t", "nan", "--s", "0.5"),
+         "finite times, got t=nan"),
+        ("constants", ("--H", "0.3", "--beta3", "nan,1"),
+         "nonnegative finite s1, s2, got s1=nan"),
+        ("constants", ("--H", "0.3", "--beta3", "inf,1"),
+         "nonnegative finite s1, s2, got s1=inf"),
     ], ids=["unknown-key", "list", "wrong-type", "empty-container",
             "lambda-nan", "lambda-str", "lambda-list", "fixed-eps-nan",
             "grid-float", "grid-bool", "t-inf", "t-nan", "cost-guard-nan",
-            "t-bool", "hat-inf", "indicator-inf", "poly-bump-inf"])
+            "t-bool", "hat-inf", "indicator-inf", "poly-bump-inf",
+            "kernel-mu-nan", "kernel-t-nan", "beta3-nan", "beta3-inf"])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
                                                  command, content, names):
         fn = tmp_path / "input"
-        fn.write_bytes(content)
-        if command == "localtime":
+        if isinstance(content, tuple):
+            argv = [command, *content]
+        elif command == "localtime":
             argv = [command, "--in", str(fn), "--lambda", "0",
                     "--out", str(tmp_path / "lt.csv")]
         else:
             argv = [command, "--config", str(fn), "--threads", "2",
                     "--out", str(tmp_path / "rep.json")]
+        if isinstance(content, bytes):
+            fn.write_bytes(content)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -243,10 +243,12 @@ class TestSpecParsing:
         (math.nan, 1.0, "a=nan"), (0.0, math.nan, "b=nan")])
     def test_infinite_end_rejected(self, name, a, b, end):
         # hat(a=0,b=inf) was 0.0 at x = 1 with moments (inf, inf)
-        with pytest.raises(ValueError, match=f"{name} requires finite ends, "
-                                             f"got {end}"):
+        which, value = end.split("=")
+        message = (f"{name}'s end {which} must be a finite real number, "
+                   f"got float {value}")
+        with pytest.raises(ValueError, match=message):
             tf.BUILTINS[name](a=a, b=b)
-        with pytest.raises(ValueError, match=end):
+        with pytest.raises(ValueError, match=message):
             tf.from_spec(f"{name}:a={a},b={b}")
 
     @pytest.mark.parametrize("name", ["indicator", "hat", "poly_bump"])
@@ -264,19 +266,24 @@ class TestSpecParsing:
         1e155])     # sigma^2 overflows
     def test_degenerate_sigma_rejected(self, name, sigma):
         # sigma=0 gave NaN statistics, sigma=-1 a scale_hint of -1
+        if math.isfinite(sigma):
+            message = f"{name} requires a finite sigma > 0"
+            value = f"got sigma={sigma!r}"
+        else:
+            message = f"{name}'s sigma must be a finite real number"
+            value = f"got float {sigma!r}"
         for make in (lambda: tf.BUILTINS[name](sigma=sigma),
                      lambda: tf.from_spec(f"{name}:sigma={sigma!r}")):
-            with pytest.raises(ValueError, match=f"{name} requires a finite "
-                                                 f"sigma > 0") as exc:
+            with pytest.raises(ValueError, match=message) as exc:
                 make()
-            assert f"got sigma={sigma!r}" in str(exc.value)
+            assert value in str(exc.value)
 
     @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
     def test_nonfinite_center_rejected(self, center):
-        with pytest.raises(ValueError, match="gaussian_bump requires a "
-                                             "finite center") as exc:
+        with pytest.raises(ValueError, match="gaussian_bump's center must "
+                                             "be a finite real number") as exc:
             tf.gaussian_bump(center=center)
-        assert f"center={center!r}" in str(exc.value)
+        assert f"got float {center!r}" in str(exc.value)
 
     def test_extreme_valid_sigmas_accepted(self):
         for sigma in (1e-150, 1e150):
