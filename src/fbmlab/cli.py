@@ -25,7 +25,9 @@ EXIT_RUNTIME = 3
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a non-finite number is not JSON: refused (exit 2), never written
+    text = json.dumps(payload, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -201,6 +201,18 @@ def _beta3_raw(H: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_beta3_scale(s1, s2, hi, power: float, factor: float) -> None:
+    """Refuse the pair of largest hi when factor * hi^power, compared in
+    logarithms so that the check itself cannot overflow, passes the largest
+    double (a factor below 1 is taken as 1: hi^power alone must fit)."""
+    k = int(np.argmax(hi)) if hi.size else 0
+    if hi.size and hi.flat[k] > 0 and (
+            power * math.log(hi.flat[k]) + math.log(max(factor, 1.0))
+            > math.log(sys.float_info.max)):
+        raise ValueError("beta3's value exceeds the largest double, got "
+                         f"s1={float(s1.flat[k])!r}, s2={float(s2.flat[k])!r}")
+
+
 def beta3(H: float, s1, s2, mode: Beta3Mode = Beta3Mode.ZERO):
     """Limiting rescaled variance of a kernel-increment pair,
 
@@ -234,12 +246,16 @@ def beta3(H: float, s1, s2, mode: Beta3Mode = Beta3Mode.ZERO):
     lo, hi = np.minimum(s1, s2), np.maximum(s1, s2)
     x = np.divide(lo, hi, out=np.ones_like(hi), where=hi > 0)
     if abs(H - 0.5) > CRITICAL_TOL:
+        # beta1^2 J(x) < 1, so only hi^{2H} and beta1^2 hi^{2H} can overflow
+        _check_beta3_scale(s1, s2, hi, 2 * H, beta1(H) ** 2)
         out = beta1(H) ** 2 * hi ** (2 * H) * _beta3_raw(H, x)
     elif mode is Beta3Mode.ZERO:
         out = np.zeros_like(hi)
     else:
         from scipy.special import spence
 
+        # the bracket is at most 2 Li2(1) = pi^2/3, at x = 0
+        _check_beta3_scale(s1, s2, hi, 1.0, math.pi ** 2 / 3)
         # Li2(1-x) = spence(x); x log^2 x -> 0 at x = 0
         logx = np.log(np.where(x > 0, x, 1.0))
         out = hi * (2.0 * (1.0 - x) * spence(x) - x * logx * logx)

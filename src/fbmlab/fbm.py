@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,6 +103,13 @@ def volterra_kernel(H: float, t, s):
                              "finite times, got "
                              f"{name}={float(times[~ok][0])!r}")
     t_arr, s_arr = np.broadcast_arrays(t, s)
+    # _kernel_core's 1 - t/s overflows where t > s * (largest double); s is
+    # capped at 1 so that the product cannot overflow (t/s < t above it)
+    over = t_arr > np.minimum(s_arr, 1.0) * sys.float_info.max
+    if over.any():
+        raise ValueError("volterra_kernel's ratio t/s exceeds the largest "
+                         f"double, got t={float(t_arr[over][0])!r}, "
+                         f"s={float(s_arr[over][0])!r}")
     out = np.zeros(t_arr.shape, dtype=float)
     mask = s_arr < t_arr
     out[mask] = _kernel_core(H, t_arr[mask], s_arr[mask])

@@ -133,13 +133,13 @@ def lnd_ratio(H: float, t: float, grid: Sequence[float]) -> float:
     t = _real("t", t)
     if t <= 0:
         raise ValueError("t must be positive")
-    grid = list(grid)
+    grid = [_real("a grid time", tj) for tj in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
     gap = min(abs(t - tj) for tj in grid)
     if gap == 0.0:
         raise ValueError("t coincides with a grid point")
-    spec = fbm_vector_spec(H, list(grid) + [t])
+    spec = fbm_vector_spec(H, grid + [t])
     var = conditional_variance(spec, spec.dim - 1, list(range(spec.dim - 1)))
     return var / gap ** (2 * H)
 

@@ -26,7 +26,10 @@ whole matrix: one node-chunked pass per tensor order (``a_h`` is one pair),
 which takes each function's shifted transform F(eta) = fhat(eta) - fhat(0)
 from ``testfuncs.fourier``; ``a_h`` and ``covariance_matrix`` refuse a
 function without a closed-form transform, which the numeric fallback of
-``fourier`` would evaluate node by node.
+``fourier`` would evaluate node by node.  The chunks are small enough that
+their temporaries stay below the C allocator's mmap threshold, so they are
+recycled from the heap rather than mapped and unmapped chunk by chunk; each
+node is reduced by its own column, so the chunk size moves no bit.
 
 Nothing here loads scipy or ``numpy.polynomial``, and neither does
 ``import fbmlab``: path synthesis uses ``numpy.fft`` and ``constants`` sums
@@ -192,8 +195,12 @@ _GH_ORDER = 48
 #: Gauss-Legendre nodes per time-scale axis: coarse, then fine (the value)
 _GL_ORDERS = (64, 128)
 #: time-scale nodes per chunk of the a_h kernel (x _GH_ORDER // 2 values
-#: each); the folded grids of 2080 and 8256 nodes take 3 and 9 chunks
-_CHUNK_NODES = 2 ** 10
+#: each); the folded grids of 2080 and 8256 nodes take 9 and 33 chunks.  A
+#: chunk's largest temporaries, its complex transforms, are 256 x 24 x 16 B
+#: = 96 KiB: below glibc's default 128 KiB mmap threshold, so they are
+#: reused from the heap, where a larger block would be a fresh mapping,
+#: faulted in and unmapped on every chunk
+_CHUNK_NODES = 2 ** 8
 
 
 def _a_h_tensor(fs: Sequence[TestFunction], pairs, H: float,

@@ -23,9 +23,10 @@ def path(N=16):
     return fbm.sample_paths(0.6, 1.0, N, 1, seed=2)[0]
 
 
-# each call ran (a bool as 0 or 1, a NaN time giving 0.0 or NaN), or failed
-# with a TypeError, IndexError, OverflowError, ZeroDivisionError or a
-# misleading ValueError, before the rules were shared
+# each call ran (a bool as 0 or 1, a NaN time giving 0.0 or NaN, an overflow
+# giving inf with a RuntimeWarning), or failed with a TypeError, IndexError,
+# OverflowError, ZeroDivisionError or a misleading ValueError, before the
+# rules were shared
 REFUSED = {
     "sample_paths-seed-bool": (
         lambda: fbm.sample_paths(0.6, 1.0, 8, 1, seed=True),
@@ -120,6 +121,19 @@ REFUSED = {
     "lnd_ratio-t-nan": (
         lambda: gaussian.lnd_ratio(0.3, math.nan, [0.5]),
         "t must be a finite real number, got float nan"),
+    "lnd_ratio-grid-nan": (
+        lambda: gaussian.lnd_ratio(0.3, 0.7, [0.5, math.nan]),
+        "a grid time must be a finite real number, got float nan"),
+    "lnd_ratio-grid-bool": (
+        lambda: gaussian.lnd_ratio(0.3, 0.7, [0.5, True]),
+        "a grid time must be a finite real number, got bool True"),
+    "volterra_kernel-ratio-overflow": (
+        lambda: fbm.volterra_kernel(0.3, 1e200, 1e-200),
+        "volterra_kernel's ratio t/s exceeds the largest double, "
+        "got t=1e+200, s=1e-200"),
+    "beta3-overflow": (
+        lambda: cst.beta3(0.9, [1.0, 1e308], 1e300),
+        "beta3's value exceeds the largest double, got s1=1e+308, s2=1e+300"),
     "beta3-s1-nan": (
         lambda: cst.beta3(0.3, math.nan, 1.0),
         "beta3 requires nonnegative finite s1, s2, got s1=nan"),

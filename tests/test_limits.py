@@ -255,16 +255,31 @@ class TestKernel:
         # the folded grid peaks near 4.4 MB, the unfolded one near 8.5 MB
         assert peak <= 6 * 2 ** 20
 
-    def test_chunking_changes_no_value(self, monkeypatch):
-        # the folded grids' 2080 and 8256 nodes leave partial last chunks
-        # of 80 and 256
-        monkeypatch.setattr(limits, "_CHUNK_NODES", 1000)
+    @pytest.fixture(scope="class")
+    def single(self):
+        # the reference runs one node per chunk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "_CHUNK_NODES", 1)
+            return limits.covariance_matrix([GD, tf.hat()], 0.7)
+
+    @pytest.mark.parametrize("chunk", [limits._CHUNK_NODES, 1000, 10 ** 6])
+    def test_chunking_changes_no_value(self, monkeypatch, single, chunk):
+        # each node is reduced by its own einsum column; the folded grids'
+        # 2080 and 8256 nodes leave partial last chunks (of 32 and 64 at the
+        # default, 80 and 256 at 1000), and 10**6 is one chunk
+        monkeypatch.setattr(limits, "_CHUNK_NODES", chunk)
         chunked = limits.covariance_matrix([GD, tf.hat()], 0.7)
-        monkeypatch.setattr(limits, "_CHUNK_NODES", 10 ** 6)
-        whole = limits.covariance_matrix([GD, tf.hat()], 0.7)
-        assert np.array_equal(chunked.matrix, whole.matrix)
+        assert np.array_equal(chunked.matrix, single.matrix)
         assert np.array_equal(chunked.quadrature_report,
-                              whole.quadrature_report)
+                              single.quadrature_report)
+
+    def test_chunk_temporaries_below_mmap_threshold(self):
+        # glibc serves a block of 128 KiB or more (its default mmap
+        # threshold) by a fresh mapping, faulted in and unmapped on free; a
+        # chunk's largest temporaries, its complex transforms of
+        # _GH_ORDER // 2 x _CHUNK_NODES values, must stay below it so that
+        # every chunk reuses heap memory
+        assert limits._CHUNK_NODES * (limits._GH_ORDER // 2) * 16 <= 128 * 1024
 
 
 class TestFoldedKernel:

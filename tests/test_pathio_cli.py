@@ -372,11 +372,20 @@ class TestCli:
          "nonnegative finite s1, s2, got s1=nan"),
         ("constants", ("--H", "0.3", "--beta3", "inf,1"),
          "nonnegative finite s1, s2, got s1=inf"),
+        # finite arguments whose value overflows: no Infinity is written
+        ("kernel", ("--H", "0.3", "--t", "1e308", "--s", "0.5"),
+         "t/s exceeds the largest double, got t=1e+308, s=0.5"),
+        ("kernel", ("--H", "0.3", "--t", "1e200", "--s", "1e-200"),
+         "t/s exceeds the largest double, got t=1e+200, s=1e-200"),
+        ("constants", ("--H", "0.9", "--beta3", "1e308,1e300"),
+         "exceeds the largest double, got s1=1e+308, s2=1e+300"),
     ], ids=["unknown-key", "list", "wrong-type", "empty-container",
             "lambda-nan", "lambda-str", "lambda-list", "fixed-eps-nan",
             "grid-float", "grid-bool", "t-inf", "t-nan", "cost-guard-nan",
             "t-bool", "hat-inf", "indicator-inf", "poly-bump-inf",
-            "kernel-mu-nan", "kernel-t-nan", "beta3-nan", "beta3-inf"])
+            "kernel-mu-nan", "kernel-t-nan", "beta3-nan", "beta3-inf",
+            "kernel-ratio-overflow", "kernel-tiny-s-overflow",
+            "beta3-overflow"])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
                                                  command, content, names):
         fn = tmp_path / "input"
