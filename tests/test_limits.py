@@ -262,16 +262,16 @@ class TestKernel:
             mp.setattr(limits, "_CHUNK_NODES", 1)
             return limits.covariance_matrix([GD, tf.hat()], 0.7)
 
-    @pytest.mark.parametrize("chunk", [limits._CHUNK_NODES, 1000, 10 ** 6])
-    def test_chunking_changes_no_value(self, monkeypatch, single, chunk):
+    def test_chunking_changes_no_value(self, monkeypatch, single):
         # each node is reduced by its own einsum column; the folded grids'
         # 2080 and 8256 nodes leave partial last chunks (of 32 and 64 at the
         # default, 80 and 256 at 1000), and 10**6 is one chunk
-        monkeypatch.setattr(limits, "_CHUNK_NODES", chunk)
-        chunked = limits.covariance_matrix([GD, tf.hat()], 0.7)
-        assert np.array_equal(chunked.matrix, single.matrix)
-        assert np.array_equal(chunked.quadrature_report,
-                              single.quadrature_report)
+        for chunk in (limits._CHUNK_NODES, 1000, 10 ** 6):
+            monkeypatch.setattr(limits, "_CHUNK_NODES", chunk)
+            chunked = limits.covariance_matrix([GD, tf.hat()], 0.7)
+            assert np.array_equal(chunked.matrix, single.matrix), chunk
+            assert np.array_equal(chunked.quadrature_report,
+                                  single.quadrature_report), chunk
 
     def test_chunk_temporaries_below_mmap_threshold(self):
         # glibc serves a block of 128 KiB or more (its default mmap
