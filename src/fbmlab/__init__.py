@@ -14,7 +14,7 @@ from .fbm import (FbmPath, conditional_increment_variance,
 from .gaussian import (GaussianVectorSpec, conditional_variance,
                        fbm_vector_spec, flip_variance_check, lnd_ratio,
                        psd_sqrt)
-from .limits import (LimitMatrix, QuadConfig, a_h, a_one_third, b_eta,
+from .limits import (LimitMatrix, QuadConfig, a_h, a_one_third,
                      covariance_matrix)
 from .localtime import (LocalTimeCurve, expected_local_time,
                         expected_mollified_local_time, fourier_local_time,

@@ -132,8 +132,21 @@ class ExperimentConfig:
                             "threads": 1}.items():
             object.__setattr__(self, name,
                                _integer(name, getattr(self, name), least))
-        if math.isnan(self.cost_guard):
+        for name, value in (*(("an f entry", s) for s in self.f),
+                            ("eps_policy", self.eps_policy),
+                            ("method", self.method)):
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a str, got "
+                                 f"{type(value).__name__} {value!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ValueError(f"output_path must be a str or null, got "
+                             f"{type(self.output_path).__name__} "
+                             f"{self.output_path!r}")
+        if isinstance(self.cost_guard, float) and math.isnan(self.cost_guard):
             raise ValueError("cost_guard must not be NaN")
+        if not _real("cost_guard", self.cost_guard) > 0:
+            raise ValueError(f"cost_guard must be positive, got "
+                             f"{self.cost_guard!r}")
         if not self.n_ladder:
             raise ValueError("n_ladder must name at least one scale")
         if any(b >= a for a, b in zip(self.n_ladder[1:], self.n_ladder)):
@@ -716,13 +729,19 @@ def serialize_report(report: ExperimentReport, fmt: str = "json") -> bytes:
 
 def deserialize_report(data: bytes) -> ExperimentReport:
     payload = json.loads(data.decode())
-    if payload["kind"] not in _COLUMNS:
+    if not isinstance(payload, dict):
+        raise ValueError(f"a report is a JSON object, not "
+                         f"{type(payload).__name__}")
+    if not isinstance(payload["kind"], str) or payload["kind"] not in _COLUMNS:
         raise ValueError(f"unknown report kind {payload['kind']!r}")
     config = ExperimentConfig.from_dict(payload["config"])
     labels = tuple(fn.label for fn in config.functions())
     shape = (len(labels), len(config.n_ladder), len(config.t_list),
              config.path_count)
     records = payload["per_path"]
+    if not (isinstance(records, list)
+            and all(isinstance(r, dict) for r in records)):
+        raise ValueError("per_path must hold one JSON object per record")
     if [(r["f"], r["n"], r["t"], r["path"]) for r in records] != list(
             product(labels, config.n_ladder, config.t_list,
                     range(config.path_count))):

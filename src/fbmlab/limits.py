@@ -38,11 +38,11 @@ call needs it, on that call:
 
   * ``scipy.integrate``: the adaptive quadratures ``fbm.mu``,
     ``fbm.conditional_increment_variance``,
-    ``localtime.expected_local_time`` and the numeric fallbacks of
-    ``testfuncs`` (``weighted_norm``, and ``moments`` and ``fourier`` of a
-    function without closed forms).  So ``a_one_third`` of a function
-    without closed-form moments, or ``require_xi`` of one whose declared
-    class is too small, loads it too;
+    ``localtime.expected_local_time`` and the ``testfuncs`` numeric
+    fallbacks of a function with a support (``weighted_norm``, and
+    ``moments`` and ``fourier`` without their closed forms).  So
+    ``a_one_third`` of a function without closed-form moments, or
+    ``require_xi`` of one whose declared class is too small, loads it too;
   * ``scipy.special``: the Volterra kernel's ``hyp2f1`` (``fbm``'s
     ``volterra_kernel``, ``mu``, ``conditional_increment_variance``,
     ``conditional_mean_path`` and the volterra method, and so
@@ -70,7 +70,7 @@ import numpy as np
 from .constants import beta1, beta2, beta3, regime_of, Regime
 from .testfuncs import TestFunction, fourier, moments, require_xi
 
-__all__ = ["QuadConfig", "QuadResult", "b_eta", "a_h", "a_one_third",
+__all__ = ["QuadConfig", "QuadResult", "a_h", "a_one_third",
            "LimitMatrix", "covariance_matrix"]
 
 
@@ -83,19 +83,6 @@ class QuadConfig:
 class QuadResult(NamedTuple):
     value: float
     error: float
-
-
-def b_eta(f: TestFunction, g: TestFunction, eta: float) -> complex:
-    """Bilinear frequency kernel F(eta) * conj(G(eta)) built from the
-    zero-subtracted transforms F = fhat - fhat(0).
-
-    The paper prints the opposite sign, -F * conj(G), which is negative on
-    the diagonal and so cannot be a variance kernel.
-    """
-    require_xi((f, g), 1.0)
-    F = fourier(f, eta) - fourier(f, 0.0)
-    G = fourier(g, eta) - fourier(g, 0.0)
-    return F * np.conj(G)
 
 
 #: Newton steps from Tricomi's guesses: at orders up to 300 the third

@@ -1,19 +1,24 @@
 """Test functions f: R -> R with the analytic attributes the experiments need.
 
 A :class:`TestFunction` bundles a vectorized evaluator with optional closed
-forms for its moments and Fourier transform, a support and a scale hint for
-the numeric quadratures, and its declared integrability against polynomial
-weights (membership in the space of f with int |f|(1+|x|^w) dx < inf).
+forms for its moments and Fourier transform, a support, a scale hint, and
+its declared integrability against polynomial weights (membership in the
+space of f with int |f|(1+|x|^w) dx < inf).
 
 A ``support`` (a, b) states that the evaluator is exactly 0.0 outside
-[a, b]; it is the window of the numeric quadratures, and calls do not mask
-by it.  The built-ins with a support vanish there by their own formulas.
-Without a support the quadratures run over doubling shells around 0 in
-units of ``scale_hint`` (``_integrate``).
+[a, b], either end possibly infinite; calls do not mask by it.  The
+built-ins with a support vanish there by their own formulas.  The support
+is the one window of the numeric quadratures: each integral is one
+adaptive quadrature over it.  A function without a support has no numeric
+fallback, so ``moments``, ``fourier`` and ``weighted_norm`` refuse it
+unless the call has its closed form, and ``in_xi`` counts it in a class
+only if it declares the class.
 
 Every built-in carries closed-form moments and a closed-form Fourier
-transform (``poly_bump`` up to k = 40); the numeric quadratures serve the
-other functions, and import ``scipy.integrate`` on their first call.
+transform (``poly_bump`` up to k = 40) and declares every class; the
+numeric quadratures serve the other functions, and import
+``scipy.integrate`` on their first call.  The Gaussian built-ins have no
+support, so ``weighted_norm`` refuses them.
 
 The Gaussian test functions are the heat kernels of ``localtime``, p_s2 at
 x - center and p'_s2 with s2 = sigma^2, each keeping the step order of its
@@ -47,8 +52,9 @@ __all__ = [
 @dataclass(frozen=True)
 class TestFunction:
     """A test function f, computed by ``evaluator``.  A ``support`` (a, b),
-    a < b, promises that f is 0.0 outside [a, b] and is the window of the
-    numeric quadratures; calls do not mask by it."""
+    a < b, either end possibly infinite, promises that f is 0.0 outside
+    [a, b] and is the window of the numeric quadratures; calls do not mask
+    by it.  Without one, only the closed forms are offered."""
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str
     support: Optional[tuple[float, float]] = None
@@ -70,14 +76,6 @@ class TestFunction:
                           dtype=float)
 
 
-#: Without a support, the numeric quadratures integrate over [-r_0, r_0] and
-#: then over the doubling shells r_{k-1} <= |x| <= r_k, r_k = 2^k scale_hint:
-#: always out to shell ``_MIN_SHELLS``, then on until a shell adds at most
-#: ``_SHELL_RTOL`` of the total, and at most out to shell ``_MAX_SHELLS``.
-_MIN_SHELLS, _MAX_SHELLS = 9, 40
-_SHELL_RTOL = 1e-12
-
-
 def _quad(g, lo: float, hi: float, **options) -> float:
     """Adaptive quadrature of g over [lo, hi].  ``scipy.integrate`` is
     imported here, on the first call, so importing the package does not
@@ -87,47 +85,31 @@ def _quad(g, lo: float, hi: float, **options) -> float:
     return integrate.quad(g, lo, hi, **{"limit": 200, **options})[0]
 
 
-def _integrate(f: TestFunction, piece) -> Optional[np.ndarray]:
-    """The sum of ``piece(lo, hi)``, one or more integrals over [lo, hi],
-    over f's support, or else over the doubling shells.  The shells go on
-    while the total is still exactly 0, so mass away from 0 counts wherever
-    it lies, not only near the centre; growth of the inner shells is no
-    sign of divergence.  Returns None, divergence, only when the outermost
-    shell still grows the total.  Mass beyond shell ``_MIN_SHELLS`` once
-    the total has settled is missed, as is a feature far narrower than its
-    shell; such a function needs a support."""
-    if f.support is not None:
-        return np.asarray(piece(*f.support), dtype=float)
-    r = f.scale_hint
-    total = np.asarray(piece(-r, r), dtype=float)
-    for k in range(1, _MAX_SHELLS + 1):
-        r_in, r = r, 2.0 * r
-        inc = np.add(piece(r_in, r), piece(-r, -r_in))
-        total = total + inc
-        settled = np.abs(inc).max() <= _SHELL_RTOL * np.abs(total).max()
-        if settled and k >= _MIN_SHELLS and total.any():
-            return total
-    return total if settled else None
+def _window(f: TestFunction, closed_form: str) -> tuple[float, float]:
+    """f's support, the one window of its numeric quadratures; a function
+    without one is refused."""
+    if f.support is None:
+        raise ValueError(f"{f.label} has no support and no closed-form "
+                         f"{closed_form}: give the window outside which it "
+                         f"is 0.0")
+    return f.support
 
 
 def weighted_norm(f: TestFunction, w: float) -> float:
-    """int |f(x)| (1 + |x|^w) dx; math.inf when the doubling shells find it
-    divergent."""
+    """int |f(x)| (1 + |x|^w) dx over f's support."""
+    w = _real("weight exponent w", w)
     if w <= 0:
         raise ValueError("weight exponent must be positive")
-
-    def g(x):
-        return np.abs(f(x)) * (1.0 + np.abs(x) ** w)
-
-    total = _integrate(f, lambda lo, hi: _quad(g, lo, hi))
-    return math.inf if total is None else float(total)
+    lo, hi = _window(f, "weighted norm")
+    return _quad(lambda x: np.abs(f(x)) * (1.0 + np.abs(x) ** w), lo, hi)
 
 
 def in_xi(f: TestFunction, w: float) -> bool:
-    """Membership of f in the weight-w integrability class."""
+    """Membership of f in the weight-w integrability class: declared, or
+    shown by a finite weighted norm over f's support."""
     if f.xi_declared >= w:
         return True
-    return math.isfinite(weighted_norm(f, w))
+    return f.support is not None and math.isfinite(weighted_norm(f, w))
 
 
 def require_xi(fns, w: float, why: str = "") -> None:
@@ -143,44 +125,41 @@ def moments(f: TestFunction) -> tuple[float, float]:
     if f.closed_form_moments is not None:
         return f.closed_form_moments
     require_xi((f,), 1.0, " (moments undefined)")
-    total = _integrate(f, lambda lo, hi: (
-        _quad(f, lo, hi), _quad(lambda x: x * f(x), lo, hi)))
-    if total is None:
-        raise ValueError(f"{f.label}: moments do not converge")
-    return float(total[0]), float(total[1])
+    lo, hi = _window(f, "moments")
+    return _quad(f, lo, hi), _quad(lambda x: x * f(x), lo, hi)
 
 
 def fourier(f: TestFunction, eta) -> complex | np.ndarray:
     """f_hat(eta) = int f(x) exp(i eta x) dx.
 
-    Uses the closed form when available; otherwise plain quadrature for
-    moderate eta and the oscillatory (Clenshaw-Curtis/Filon style) rule for
-    |eta| beyond ~8 oscillations per scale hint.
+    Uses the closed form when available; otherwise plain quadrature over
+    f's support for moderate eta and the oscillatory (Clenshaw-Curtis/Filon
+    style) rule for |eta| beyond ~8 oscillations per scale hint.
     """
     eta_arr = np.asarray(eta, dtype=float)
     if f.closed_form_fourier is not None:
         out = np.asarray(f.closed_form_fourier(eta_arr), dtype=complex)
         return complex(out) if np.isscalar(eta) or eta_arr.ndim == 0 else out
-    vals = np.array([_fourier_numeric(f, e) for e in np.atleast_1d(eta_arr)])
+    window = _window(f, "Fourier transform")
+    vals = np.array([_fourier_numeric(f, window, e)
+                     for e in np.atleast_1d(eta_arr)])
     return complex(vals[0]) if eta_arr.ndim == 0 else vals
 
 
-def _fourier_numeric(f: TestFunction, eta: float) -> complex:
+def _fourier_numeric(f: TestFunction, window, eta: float) -> complex:
     sign = 1.0
     if eta < 0:
         eta, sign = -eta, -1.0
     if eta * f.scale_hint <= 8.0:
-        def piece(lo, hi):
-            return (_quad(lambda x: f(x) * np.cos(eta * x), lo, hi),
-                    _quad(lambda x: f(x) * np.sin(eta * x), lo, hi))
+        re = _quad(lambda x: f(x) * np.cos(eta * x), *window)
+        im = _quad(lambda x: f(x) * np.sin(eta * x), *window)
     else:
-        def piece(lo, hi):
-            return (_quad(f, lo, hi, weight="cos", wvar=eta, limit=400),
-                    _quad(f, lo, hi, weight="sin", wvar=eta, limit=400))
-    total = _integrate(f, piece)
-    if total is None:
-        raise ValueError(f"{f.label}: Fourier integral does not converge")
-    return complex(total[0], sign * total[1])
+        # QUADPACK's Fourier rule takes at most one infinite end
+        lo, hi = window
+        parts = ((lo, 0.0), (0.0, hi)) if -lo == hi == math.inf else (window,)
+        re, im = (sum(_quad(f, a, b, weight=weight, wvar=eta, limit=400)
+                      for a, b in parts) for weight in ("cos", "sin"))
+    return complex(re, sign * im)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,18 @@ REFUSED = {
     "beta3-s1-nan": (
         lambda: cst.beta3(0.3, math.nan, 1.0),
         "beta3 requires nonnegative finite s1, s2, got s1=nan"),
+    # a NaN weight raised scipy's IntegrationWarning (NaN without the
+    # warning filter), an infinite one gave 1.0 for a hat on [-1, 1], and
+    # True ran as weight 1
+    "weighted_norm-w-nan": (
+        lambda: tf.weighted_norm(tf.hat(), math.nan),
+        "weight exponent w must be a finite real number, got float nan"),
+    "weighted_norm-w-inf": (
+        lambda: tf.weighted_norm(tf.hat(), math.inf),
+        "weight exponent w must be a finite real number, got float inf"),
+    "weighted_norm-w-bool": (
+        lambda: tf.weighted_norm(tf.hat(), True),
+        "weight exponent w must be a finite real number, got bool True"),
     "config-time-beyond-double": (
         lambda: exp.ExperimentConfig(H=0.6, t_list=(10 ** 400,)),
         f"a t_list time must be a finite real number, got int {10 ** 400}"),

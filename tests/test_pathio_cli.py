@@ -363,6 +363,26 @@ class TestCli:
         ("clt-experiment",
          b'{"H": 0.6, "f": ["poly_bump:a=0,b=inf,k=2"]}',
          "poly_bump's end b must be a finite real number, got float inf"),
+        ("clt-experiment", b'{"H": 0.6, "f": [1]}',
+         "an f entry must be a str, got int 1"),
+        ("clt-experiment", b'{"H": 0.6, "f": [null]}',
+         "an f entry must be a str, got NoneType None"),
+        ("clt-experiment", b'{"H": 0.6, "eps_policy": 5}',
+         "eps_policy must be a str, got int 5"),
+        ("clt-experiment", b'{"H": 0.6, "method": 5}',
+         "method must be a str, got int 5"),
+        ("clt-experiment", b'{"H": 0.6, "output_path": [1]}',
+         "output_path must be a str or null, got list [1]"),
+        ("clt-experiment", b'{"H": 0.6, "output_path": true}',
+         "output_path must be a str or null, got bool True"),
+        ("clt-experiment", b'{"H": 0.6, "cost_guard": true}',
+         "cost_guard must be a finite real number, got bool True"),
+        ("clt-experiment", b'{"H": 0.6, "cost_guard": -1}',
+         "cost_guard must be positive, got -1"),
+        ("report", b"[]", "a report is a JSON object, not list"),
+        ("report", b'{"kind": []}', "unknown report kind []"),
+        ("report", b'{"kind": "clt", "config": {"H": 0.6}, "per_path": [1]}',
+         "per_path must hold one JSON object per record"),
         # flags alone, no input file
         ("kernel", ("--H", "0.3", "--mu", "0,nan"),
          "s must be a finite real number, got float nan"),
@@ -383,6 +403,10 @@ class TestCli:
             "lambda-nan", "lambda-str", "lambda-list", "fixed-eps-nan",
             "grid-float", "grid-bool", "t-inf", "t-nan", "cost-guard-nan",
             "t-bool", "hat-inf", "indicator-inf", "poly-bump-inf",
+            "f-int", "f-null", "eps-policy-int", "method-int",
+            "output-path-list", "output-path-bool", "cost-guard-bool",
+            "cost-guard-negative", "report-list", "report-kind-list",
+            "report-per-path-int",
             "kernel-mu-nan", "kernel-t-nan", "beta3-nan", "beta3-inf",
             "kernel-ratio-overflow", "kernel-tiny-s-overflow",
             "beta3-overflow"])
@@ -394,6 +418,9 @@ class TestCli:
         elif command == "localtime":
             argv = [command, "--in", str(fn), "--lambda", "0",
                     "--out", str(tmp_path / "lt.csv")]
+        elif command == "report":
+            argv = [command, "--in", str(fn), "--plots",
+                    str(tmp_path / "plots")]
         else:
             argv = [command, "--config", str(fn), "--threads", "2",
                     "--out", str(tmp_path / "rep.json")]

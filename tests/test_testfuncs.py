@@ -26,16 +26,26 @@ class TestWeightedNorm:
         assert tf.weighted_norm(f, 1.0) == pytest.approx(1.5, rel=1e-10)
 
     def test_gaussian_weight_one(self):
-        f = tf.gaussian_bump(1.0, 0.0)
+        f = tf.TestFunction(tf.gaussian_bump(1.0, 0.0).evaluator, "gauss",
+                            support=(-40.0, 40.0))
         assert tf.weighted_norm(f, 1.0) == pytest.approx(GAUSS_NORM_W1,
                                                          rel=1e-8)
 
-    def test_divergent_tail_flags_infinity(self):
-        # |x| * cauchy-like tail: the weight-1 mass diverges
+    def test_divergent_tail_without_support_refused(self):
+        # |x| * cauchy-like tail: the weight-1 mass diverges, and without a
+        # support nothing shows the function to be in the class
         slow = tf.TestFunction(lambda x: 1.0 / (1.0 + x * x), "cauchy",
                                xi_declared=0.0, scale_hint=1.0)
-        assert tf.weighted_norm(slow, 1.0) == math.inf
+        with pytest.raises(ValueError, match="cauchy has no support"):
+            tf.weighted_norm(slow, 1.0)
         assert not tf.in_xi(slow, 1.0)
+
+    def test_builtin_gaussian_has_no_window(self):
+        # its moments and transform are closed forms, its class declared
+        f = tf.gaussian_bump()
+        assert f.support is None and tf.in_xi(f, 1.0)
+        with pytest.raises(ValueError, match="no closed-form weighted norm"):
+            tf.weighted_norm(f, 1.0)
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
@@ -96,7 +106,7 @@ class TestFourier:
     def test_numeric_path_matches_closed_form_oscillatory(self):
         closed = tf.gaussian_bump(1.0, 0.0)
         numeric = tf.TestFunction(closed.evaluator, "gauss-numeric",
-                                  scale_hint=1.0)
+                                  support=(-40.0, 40.0), scale_hint=1.0)
         for eta in (0.5, 5.0, 12.0, 30.0):
             assert tf.fourier(numeric, eta) == pytest.approx(
                 tf.fourier(closed, eta), rel=1e-7, abs=1e-12)
@@ -153,7 +163,10 @@ class TestFourier:
         rng = np.random.default_rng(11)
         for f in (tf.gaussian_bump(), tf.gaussian_derivative(), tf.hat(),
                   tf.indicator(), tf.poly_bump()):
-            bound = tf.weighted_norm(f, 1.0)
+            # the Gaussians have no support: their norm over (-40, 40)
+            window = tf.TestFunction(f.evaluator, f.label,
+                                     support=f.support or (-40.0, 40.0))
+            bound = tf.weighted_norm(window, 1.0)
             for eta in rng.uniform(-20, 20, size=25):
                 assert abs(tf.fourier(f, eta)) <= bound * (1 + 1e-12)
 
@@ -167,8 +180,8 @@ class TestFourier:
 
 
 class TestOffCentreMass:
-    """Functions without support or closed forms whose mass sits away from
-    0: the numeric fallbacks integrate over doubling shells around 0."""
+    """Functions without closed forms whose mass sits away from 0: the
+    numeric fallbacks integrate over the window (c - 40, c + 40)."""
 
     CENTRES = [3.3, 57.1, 300.7]
 
@@ -176,7 +189,7 @@ class TestOffCentreMass:
     def density(c):
         return tf.TestFunction(
             lambda x: np.exp(-(x - c) ** 2 / 2) / math.sqrt(2 * math.pi),
-            f"density-at-{c:g}")
+            f"density-at-{c:g}", support=(c - 40.0, c + 40.0))
 
     @pytest.mark.parametrize("c", CENTRES)
     def test_moments_of_shifted_density(self, c):
@@ -188,7 +201,8 @@ class TestOffCentreMass:
     def test_first_moment_of_shifted_derivative(self, c):
         f = tf.TestFunction(
             lambda x: -(x - c) * np.exp(-(x - c) ** 2 / 2)
-            / math.sqrt(2 * math.pi), f"derivative-at-{c:g}")
+            / math.sqrt(2 * math.pi), f"derivative-at-{c:g}",
+            support=(c - 40.0, c + 40.0))
         m0, m1 = tf.moments(f)
         assert abs(m0) < 1e-8
         assert m1 == pytest.approx(-1.0, rel=1e-8)
@@ -205,6 +219,41 @@ class TestOffCentreMass:
             + 2 * math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
         norm = tf.weighted_norm(self.density(c), 1.0)
         assert norm == pytest.approx(1.0 + mean_abs, rel=1e-8)
+
+    def test_far_second_mass_needs_a_window(self):
+        # phi(x) + phi(x - 1000.3): without a support it is refused, not
+        # read as the mass near 0 alone
+        def ev(x):
+            return (np.exp(-x ** 2 / 2) + np.exp(-(x - 1000.3) ** 2 / 2)) \
+                / math.sqrt(2 * math.pi)
+
+        with pytest.raises(ValueError, match="two-bumps has no support"):
+            tf.moments(tf.TestFunction(ev, "two-bumps"))
+        m0, m1 = tf.moments(tf.TestFunction(ev, "two-bumps",
+                                            support=(-40.0, 1040.3)))
+        assert m0 == pytest.approx(2.0, rel=1e-8)
+        assert m1 == pytest.approx(1000.3, rel=1e-8)
+
+    @pytest.mark.parametrize("call, closed_form", [
+        (tf.moments, "moments"),
+        (lambda f: tf.fourier(f, 0.5), "Fourier transform"),
+        (lambda f: tf.weighted_norm(f, 1.0), "weighted norm")])
+    def test_numeric_fallback_refused_without_support(self, call,
+                                                       closed_form):
+        f = tf.TestFunction(self.density(3.3).evaluator, "no-window")
+        with pytest.raises(ValueError, match=(
+                f"no-window has no support and no closed-form {closed_form}"
+                ": give the window outside which it is 0.0")):
+            call(f)
+
+    def test_oscillatory_rule_over_the_whole_line(self):
+        # the Fourier rule takes one infinite end, so (-inf, inf) is split
+        closed = tf.gaussian_bump(1.0, 3.3)
+        f = tf.TestFunction(closed.evaluator, "line",
+                            support=(-math.inf, math.inf))
+        for eta in (0.5, 5.0, 30.0):
+            assert tf.fourier(f, eta) == pytest.approx(
+                tf.fourier(closed, eta), rel=1e-7, abs=1e-12)
 
 
 class TestSpecParsing:
